@@ -13,6 +13,14 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The benchmark is its own package over the workspace crates: build it,
+# run its unit tests and a smoke pass here, so an API change that breaks it
+# fails CI instead of the benchmark run.
+echo "==> benchmark package (build, tests, --smoke)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke >/dev/null
+
 echo "==> cargo test -q --features proptest (property suites)"
 cargo test -q -p uae-tensor -p uae-data -p uae-metrics -p uae-core -p uae-obs -p uae-nn \
     --features uae-tensor/proptest,uae-data/proptest,uae-metrics/proptest,uae-core/proptest,uae-obs/proptest,uae-nn/proptest

@@ -5,10 +5,11 @@
 //! per-id embedding tables dominate the artifact and the load path. Four
 //! questions, each answered with a committed number:
 //!
-//! * **Cold start** — how long until a `.uaem` v3 artifact is decoded?
-//!   `read_from` (copy decode: every arena byte memcpy'd into fresh
-//!   matrices) vs `open` (mmap: the arena is pointer-cast in place and
-//!   pages fault in lazily). The CI gate requires `open` ≥ 5x faster on
+//! * **Cold start** — how long until a `.uaem` artifact is decoded?
+//!   `read_from` (copy transport: the whole file read into one aligned
+//!   heap region) vs `open` (mmap: the file is mapped and pages fault in
+//!   lazily). Both parse the same header and point the weight matrices
+//!   into their region the same way. The CI gate requires `open` ≥ 5x faster on
 //!   the committed full-size run.
 //! * **Resident memory** — RSS delta of holding the loaded artifact, for
 //!   the copy and mapped paths, each measured in a *fresh child process*

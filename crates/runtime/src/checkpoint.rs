@@ -16,11 +16,11 @@
 //! * `extra`    — opaque trainer bookkeeping (loss history, early-stopping
 //!   state, …) encoded by the owning trainer with [`ByteWriter`].
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 use uae_nn::AdamState;
-use uae_tensor::{save_params, Matrix, Params, Rng, RngState};
+use uae_tensor::{save_params, Matrix, MmapRegion, Params, Rng, RngState};
 
 use crate::error::UaeError;
 
@@ -359,28 +359,35 @@ impl TrainSnapshot {
     /// temp file, so a crash mid-write never corrupts the previous
     /// checkpoint).
     pub fn write_to(&self, path: &Path) -> Result<(), CheckpointError> {
-        let bytes = self.encode();
-        let tmp = path.with_extension("tmp");
-        let io_err = |e: std::io::Error| CheckpointError::Io(e.to_string());
-        {
-            let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
-            f.write_all(&bytes).map_err(io_err)?;
-            f.sync_all().map_err(io_err)?;
-        }
-        std::fs::rename(&tmp, path).map_err(io_err)?;
-        Ok(())
+        write_atomic(path, &self.encode())
     }
 
     /// Reads and decodes a snapshot from `path`.
     pub fn read_from(path: &Path) -> Result<Self, CheckpointError> {
-        let io_err = |e: std::io::Error| CheckpointError::Io(e.to_string());
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)
-            .map_err(io_err)?
-            .read_to_end(&mut bytes)
-            .map_err(io_err)?;
-        TrainSnapshot::decode(&bytes)
+        TrainSnapshot::decode(read_file(path)?.bytes())
     }
+}
+
+/// Writes `bytes` to `path` atomically: a sibling `.tmp` file is written,
+/// `sync_all`ed, then renamed over `path`, so a crash mid-write never
+/// corrupts the previous file. Shared by `.uaec` checkpoints and `.uaem`
+/// artifacts.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    let tmp = path.with_extension("tmp");
+    let io_err = |e: std::io::Error| CheckpointError::Io(e.to_string());
+    {
+        let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
+        f.write_all(bytes).map_err(io_err)?;
+        f.sync_all().map_err(io_err)?;
+    }
+    std::fs::rename(&tmp, path).map_err(io_err)?;
+    Ok(())
+}
+
+/// Reads the whole file at `path` into a 16-byte-aligned heap region — the
+/// one file read behind `.uaec` checkpoints and copied `.uaem` artifacts.
+pub fn read_file(path: &Path) -> Result<MmapRegion, CheckpointError> {
+    MmapRegion::read(path).map_err(|e| CheckpointError::Io(e.to_string()))
 }
 
 #[cfg(test)]

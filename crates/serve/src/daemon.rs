@@ -930,6 +930,8 @@ fn handle_swap(shared: &Shared, path: &str) -> Result<u64, UaeError> {
         );
         UaeError::SwapRejected { detail }
     };
+    // Copy transport, not a mapping: the operator may replace the file in
+    // place later, which would fault a mapped generation.
     let frozen = match FrozenModel::read_from(Path::new(path)) {
         Ok(f) => f,
         Err(e) => return Err(reject(e.to_string())),

@@ -6,27 +6,31 @@
 //! scores request batches through inference-only kernels that never touch
 //! the tape, while staying **bit-identical** to the training forward.
 //!
-//! Artifacts — one `.uaem` container (magic `UAEM`, version 3; version-2
-//! files still decode), three variants discriminated by a variant byte:
+//! Artifacts — one `.uaem` container (magic `UAEM`, version 3, the only
+//! layout), three variants discriminated by a variant byte, one loader:
 //!
 //! - [`FrozenModel`] (variants 0/1) — a versioned, self-describing snapshot
 //!   of the attention network `g`, the propensity network `h`, the feature
-//!   schema they were trained against, the Eq. (19) exponent γ, and (v3)
-//!   the hashed-embedding config. v3 lays every tensor out in one
-//!   16-byte-aligned `f32` arena at fixed header-recorded offsets, so
-//!   [`FrozenModel::open`] can memory-map the file and serve the arena
-//!   *in place* — cold-start decode is microseconds regardless of
-//!   artifact size, and resident memory is only the pages scoring
-//!   touches. [`FrozenModel::read_from`] copy-decodes both versions
-//!   anywhere. Exportable from a live [`uae_core::Uae`] or from a
-//!   training checkpoint, validated on load through the existing
-//!   [`uae_runtime::UaeError`] taxonomy (hostile offsets, truncations,
-//!   and bit flips are typed errors on both load paths — fuzz-tested).
+//!   schema they were trained against, the Eq. (19) exponent γ, and the
+//!   hashed-embedding config. Every tensor sits in one 16-byte-aligned
+//!   `f32` arena at fixed header-recorded offsets, held in memory as one
+//!   [`model::ParamArena`]. [`FrozenModel::open`] memory-maps the file and
+//!   serves the arena *in place* — cold-start decode is microseconds
+//!   regardless of artifact size, and resident memory is only the pages
+//!   scoring touches. [`FrozenModel::read_from`] copies the file into an
+//!   aligned heap region instead (for files that may be replaced in use).
+//!   Copy vs map is only the transport: both parse the same header and
+//!   build through the same loader. Exportable from a live
+//!   [`uae_core::Uae`] or from a training checkpoint, validated on load
+//!   through the existing [`uae_runtime::UaeError`] taxonomy (hostile
+//!   offsets, truncations, and bit flips are typed errors on both
+//!   transports — fuzz-tested).
 //! - [`FrozenRecommender`] (variant 2) — any Table-IV downstream model
 //!   (FM … DCN-V2): the [`uae_models::ModelKind`] tag, its
-//!   [`uae_models::ModelConfig`], and the trained parameter arena.
-//! - [`FrozenArtifact`] — sniffs the variant byte and decodes either, for
-//!   callers that accept any `.uaem` file.
+//!   [`uae_models::ModelConfig`], and the trained parameters in the same
+//!   header + arena layout.
+//! - [`FrozenArtifact`] — sniffs the variant byte once and loads either,
+//!   for callers that accept any `.uaem` file.
 //!
 //! Scoring engines:
 //!

@@ -3,53 +3,50 @@
 //! A `.uaem` file holds everything needed to reconstruct a trained [`Uae`]
 //! for inference — the feature schema, the architecture hyper-parameters,
 //! the propensity-head variant, the Eq. (19) reweighting exponent γ, and
-//! the two parameter arenas (Θ_g / Θ_h) as `uae_tensor::serialize` "UAEP"
-//! blobs — plus optional named extras (e.g. a downstream recommender's
-//! arena). Unlike a `.uaec` training checkpoint it carries no optimizer
-//! moments, RNG state, or trainer bookkeeping, so it is a fraction of the
-//! size and loads straight into the tape-free serving path.
+//! the two parameter sets (Θ_g / Θ_h) — plus optional named extras (e.g. a
+//! downstream recommender's arena). Unlike a `.uaec` training checkpoint it
+//! carries no optimizer moments, RNG state, or trainer bookkeeping, so it
+//! is a fraction of the size and loads straight into the tape-free serving
+//! path.
 //!
 //! The container reuses the checkpoint encoder/decoder idiom: a 4-byte
 //! magic (`UAEM`), a version word, bounds-checked little-endian fields, and
 //! atomic `.tmp` + rename writes. Failures surface through the existing
 //! [`UaeError`] taxonomy: container-level damage (bad magic / version /
 //! truncation / hostile arena offsets) maps to [`UaeError::Checkpoint`],
-//! and a parameter blob that does not match the rebuilt architecture maps
+//! and a parameter table that does not match the rebuilt architecture maps
 //! to [`UaeError::Decode`] with the offending tensor name and shapes.
 //!
-//! ## v3: the memory-mappable param arena
+//! ## One layout, one loader
 //!
-//! v3 moves the raw `f32` parameter data out of the length-prefixed header
-//! into a contiguous **param arena** at the tail of the file. The header
-//! stores, per parameter, its name, shape, and a 16-byte-aligned offset
-//! into the arena; the arena's absolute file offset (itself 16-byte
-//! aligned, zero-padded to get there) and length close the header. Because
-//! every offset is fixed and aligned, [`FrozenModel::open`] can `mmap` the
-//! file and point each weight [`uae_tensor::Matrix`] straight at the page
-//! cache — no copy, no parse of the float data, and a model larger than
-//! RAM serves with page-cache locality. v2 files (and v3 files decoded via
-//! [`FrozenModel::decode`] on a byte slice) keep the copy path.
+//! Version 3 is the only layout. The raw `f32` parameter data sits in a
+//! contiguous **param arena** at the tail of the file. The header stores,
+//! per parameter, its name, shape, and a 16-byte-aligned offset into the
+//! arena; the arena's absolute file offset (itself 16-byte aligned,
+//! zero-padded to get there) and length close the header.
+//!
+//! In memory the parameters always take one form, a [`ParamArena`]: a
+//! 16-byte-aligned [`MmapRegion`] plus the validated parameter tables.
+//! [`FrozenModel::open`] maps the file; [`FrozenModel::read_from`] and
+//! [`FrozenModel::decode`] copy it into an aligned heap region; the
+//! exporters lay the weights straight into one. Copy vs map is only the
+//! transport: every path parses the same header and [`FrozenModel::build`]
+//! points each weight [`uae_tensor::Matrix`] into the region the same way.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use uae_core::{Uae, UaeConfig};
 use uae_data::FeatureSchema;
-use uae_runtime::checkpoint::{ByteReader, ByteWriter, CheckpointError, TrainSnapshot};
-use uae_runtime::UaeError;
-use uae_tensor::{
-    decode_params, load_params, save_params, DecodeError, Matrix, MmapRegion, Params,
+use uae_runtime::checkpoint::{
+    read_file, write_atomic, ByteReader, ByteWriter, CheckpointError, TrainSnapshot,
 };
+use uae_runtime::UaeError;
+use uae_tensor::{decode_params, DecodeError, Matrix, MmapRegion, Params};
 
 pub(crate) const MAGIC: &[u8; 4] = b"UAEM";
-/// Container version. v2 added the downstream-recommender variant (tag 2 in
-/// the variant byte, decoded by
-/// [`FrozenRecommender`](crate::FrozenRecommender)); v3 added the
-/// hashed-embedding config words and the memory-mappable param arena.
-/// Readers accept both; writers emit v3 (see [`FrozenModel::encode_v2`]
-/// for the legacy layout).
+/// Container version; the only one readers accept.
 pub(crate) const VERSION: u32 = 3;
-pub(crate) const VERSION_V2: u32 = 2;
 
 /// Variant byte: 0 = sequential UAE, 1 = local SAR, 2 = downstream
 /// recommender (see [`crate::FrozenRecommender`]).
@@ -97,233 +94,242 @@ pub(crate) fn get_schema(r: &mut ByteReader) -> Result<FeatureSchema, Checkpoint
     })
 }
 
-/// Checks the leading magic + version words, returning the reader positioned
-/// at the variant byte plus the accepted container version (2 or 3).
-pub(crate) fn check_header(bytes: &[u8]) -> Result<(ByteReader<'_>, u32), UaeError> {
+/// Starts a `.uaem` header: magic, version, variant byte.
+pub(crate) fn put_header(variant: u8) -> ByteWriter {
+    let mut w = ByteWriter::new();
+    w.put_bytes(MAGIC.as_slice());
+    w.put_u32(VERSION);
+    w.put_u8(variant);
+    w
+}
+
+/// Checks the leading magic + version words and reads the variant byte,
+/// returning the reader positioned just after it.
+pub(crate) fn check_header(bytes: &[u8]) -> Result<(ByteReader<'_>, u8), UaeError> {
     let mut r = ByteReader::new(bytes);
     let magic = r.get_bytes().map_err(UaeError::Checkpoint)?;
     if magic != MAGIC {
         return Err(UaeError::Checkpoint(CheckpointError::BadMagic));
     }
     let version = r.get_u32().map_err(UaeError::Checkpoint)?;
-    if version != VERSION_V2 && version != VERSION {
+    if version != VERSION {
         return Err(UaeError::Checkpoint(CheckpointError::BadVersion(version)));
     }
-    Ok((r, version))
+    let variant = r.get_u8().map_err(UaeError::Checkpoint)?;
+    Ok((r, variant))
 }
 
-/// Writes `bytes` to `path` atomically (sibling `.tmp` + rename, same
-/// crash-safety contract as `.uaec` checkpoints).
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), UaeError> {
-    use std::io::Write as _;
-    let tmp = path.with_extension("tmp");
-    let io_err = |e: std::io::Error| UaeError::Checkpoint(CheckpointError::Io(e.to_string()));
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
-        f.write_all(bytes).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-    }
-    std::fs::rename(&tmp, path).map_err(io_err)?;
-    Ok(())
+/// The copy transport for a file: one aligned heap read.
+pub(crate) fn copy_file(path: &Path) -> Result<Arc<MmapRegion>, UaeError> {
+    read_file(path).map(Arc::new).map_err(UaeError::Checkpoint)
 }
 
-/// Reads the raw bytes of an artifact file.
-pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, UaeError> {
-    use std::io::Read as _;
-    let io_err = |e: std::io::Error| UaeError::Checkpoint(CheckpointError::Io(e.to_string()));
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .map_err(io_err)?
-        .read_to_end(&mut bytes)
-        .map_err(io_err)?;
-    Ok(bytes)
+/// The copy transport for a byte slice.
+pub(crate) fn copy_bytes(bytes: &[u8]) -> Arc<MmapRegion> {
+    Arc::new(MmapRegion::heap(bytes.len(), |buf| {
+        buf.copy_from_slice(bytes)
+    }))
 }
 
-/// One parameter's location inside a mapped v3 arena (absolute file offset).
-#[derive(Debug, Clone)]
-struct MappedEntry {
+/// The parameters of a [`Params`] arena in registration order.
+pub(crate) fn named(params: &Params) -> Vec<(&str, &Matrix)> {
+    params
+        .ids()
+        .map(|id| (params.name(id), params.value(id)))
+        .collect()
+}
+
+/// One parameter's place in the arena: name, shape, and 16-byte-aligned
+/// arena-relative byte offset.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ParamEntry {
     name: String,
     rows: usize,
     cols: usize,
     offset: usize,
 }
 
-/// The zero-copy view behind [`FrozenModel::open`]: the whole-file mapping
-/// plus each parameter's validated (name, shape, offset) triple. Weight
-/// matrices built from this point straight into the page cache.
+/// The one in-memory form of `.uaem` parameters: a 16-byte-aligned
+/// [`MmapRegion`] plus one validated table per parameter set (Θ_g and Θ_h
+/// for a UAE snapshot, one for a recommender).
+///
+/// The region is the mapped file ([`FrozenModel::open`]), a heap copy of
+/// the file ([`FrozenModel::read_from`]), or a freshly exported arena
+/// ([`FrozenModel::from_uae`]). That choice is only the transport: equality
+/// compares the tables and arena bytes, and every build points its weight
+/// matrices into the region through the same loader.
 #[derive(Debug, Clone)]
-pub struct MappedParams {
+pub struct ParamArena {
     region: Arc<MmapRegion>,
-    g: Vec<MappedEntry>,
-    h: Vec<MappedEntry>,
-    arena_len: usize,
+    tables: Vec<Vec<ParamEntry>>,
+    /// Byte offset of the arena inside `region` (0 for an exported arena).
+    offset: usize,
+    len: usize,
 }
 
-impl MappedParams {
-    /// Whether the region rides a real `mmap` (vs. the aligned heap
-    /// fallback used on non-unix targets or when `mmap(2)` fails).
+impl PartialEq for ParamArena {
+    fn eq(&self, other: &Self) -> bool {
+        self.tables == other.tables && self.bytes() == other.bytes()
+    }
+}
+
+impl ParamArena {
+    /// Lays parameter sets out in a fresh heap arena: each tensor's
+    /// little-endian `f32`s at a 16-byte-aligned offset, one table per set.
+    pub(crate) fn lay_out(sets: &[Vec<(&str, &Matrix)>]) -> ParamArena {
+        let mut len = 0usize;
+        let tables: Vec<Vec<ParamEntry>> = sets
+            .iter()
+            .map(|set| {
+                set.iter()
+                    .map(|&(name, m)| {
+                        let offset = len.next_multiple_of(16);
+                        len = offset + m.len() * 4;
+                        ParamEntry {
+                            name: name.to_string(),
+                            rows: m.rows(),
+                            cols: m.cols(),
+                            offset,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let region = MmapRegion::heap(len, |buf| {
+            for (set, table) in sets.iter().zip(&tables) {
+                for (&(_, m), e) in set.iter().zip(table) {
+                    for (dst, x) in buf[e.offset..].chunks_exact_mut(4).zip(m.data()) {
+                        dst.copy_from_slice(&x.to_le_bytes());
+                    }
+                }
+            }
+        });
+        ParamArena {
+            region: Arc::new(region),
+            tables,
+            offset: 0,
+            len,
+        }
+    }
+
+    /// Reads `n` parameter tables written by [`ParamArena::put_tables`].
+    pub(crate) fn get_tables(
+        r: &mut ByteReader,
+        n: usize,
+    ) -> Result<Vec<Vec<ParamEntry>>, CheckpointError> {
+        (0..n)
+            .map(|_| {
+                let count = r.get_u32()? as usize;
+                let mut table = Vec::with_capacity(count.min(1 << 12));
+                for _ in 0..count {
+                    let name = String::from_utf8(r.get_bytes()?)
+                        .map_err(|_| CheckpointError::Corrupt("non-utf8 name"))?;
+                    table.push(ParamEntry {
+                        name,
+                        rows: r.get_u32()? as usize,
+                        cols: r.get_u32()? as usize,
+                        offset: r.get_u64()? as usize,
+                    });
+                }
+                Ok(table)
+            })
+            .collect()
+    }
+
+    /// Reads the `arena_len` / `arena_offset` words that close a header and
+    /// validates them, and every entry of `tables`, against `region`.
+    /// Misaligned or out-of-bounds coordinates — the hostile inputs a mapped
+    /// reader must never dereference — are typed [`CheckpointError::Corrupt`]
+    /// values.
+    pub(crate) fn get_tail(
+        r: &mut ByteReader,
+        region: &Arc<MmapRegion>,
+        tables: Vec<Vec<ParamEntry>>,
+    ) -> Result<ParamArena, CheckpointError> {
+        let len = r.get_u64()? as usize;
+        let offset = r.get_u64()? as usize;
+        if !offset.is_multiple_of(16) {
+            return Err(CheckpointError::Corrupt("arena offset not 16-byte aligned"));
+        }
+        let end = offset
+            .checked_add(len)
+            .ok_or(CheckpointError::Corrupt("arena extent overflows"))?;
+        if end > region.len() {
+            return Err(CheckpointError::Corrupt("arena extends past end of file"));
+        }
+        for e in tables.iter().flatten() {
+            if !e.offset.is_multiple_of(16) {
+                return Err(CheckpointError::Corrupt("param offset not 16-byte aligned"));
+            }
+            let end = e
+                .rows
+                .checked_mul(e.cols)
+                .and_then(|n| n.checked_mul(4))
+                .and_then(|bytes| e.offset.checked_add(bytes))
+                .ok_or(CheckpointError::Corrupt("param extent overflows"))?;
+            if end > len {
+                return Err(CheckpointError::Corrupt("param extends past end of arena"));
+            }
+        }
+        Ok(ParamArena {
+            region: Arc::clone(region),
+            tables,
+            offset,
+            len,
+        })
+    }
+
+    /// Writes every parameter table: names, shapes, arena-relative offsets.
+    pub(crate) fn put_tables(&self, w: &mut ByteWriter) {
+        for table in &self.tables {
+            w.put_u32(table.len() as u32);
+            for e in table {
+                w.put_bytes(e.name.as_bytes());
+                w.put_u32(e.rows as u32);
+                w.put_u32(e.cols as u32);
+                w.put_u64(e.offset as u64);
+            }
+        }
+    }
+
+    /// Closes a header and appends the arena: `arena_len`, the absolute
+    /// `arena_offset`, zero padding up to it, then the arena bytes.
+    pub(crate) fn finish(&self, mut w: ByteWriter) -> Vec<u8> {
+        w.put_u64(self.len as u64);
+        // The absolute arena offset is patched in below once the header
+        // length is known (ByteWriter has no position accessor). Writing it
+        // explicitly — rather than deriving it as len − arena_len — means a
+        // truncated tail can never silently shift the arena.
+        w.put_u64(0);
+        let mut bytes = w.into_bytes();
+        let hlen = bytes.len();
+        let arena_offset = hlen.next_multiple_of(16);
+        bytes[hlen - 8..].copy_from_slice(&(arena_offset as u64).to_le_bytes());
+        bytes.resize(arena_offset, 0);
+        bytes.extend_from_slice(self.bytes());
+        bytes
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.region.bytes()[self.offset..self.offset + self.len]
+    }
+
+    /// Whether the region rides a real `mmap` (vs. an aligned heap copy).
     pub fn is_mapped(&self) -> bool {
         self.region.is_mapped()
     }
-
-    /// Arena length in bytes (the resident-set cost ceiling of the weights).
-    pub fn arena_len(&self) -> usize {
-        self.arena_len
-    }
 }
 
-/// One raw parameter headed for a v3 arena: name, shape, LE `f32` bytes.
-struct ArenaParam {
-    name: String,
-    rows: usize,
-    cols: usize,
-    data: Vec<u8>,
-}
-
-/// The decoded v3 header (everything before the arena). Entry offsets are
-/// arena-relative, validated for alignment and bounds.
-struct V3Header {
-    sequential: bool,
-    gamma: f32,
-    schema: FeatureSchema,
-    embed_dim: usize,
-    gru_hidden: usize,
-    mlp_hidden: Vec<usize>,
-    hash_buckets: usize,
-    hash_k: usize,
-    g: Vec<MappedEntry>,
-    h: Vec<MappedEntry>,
-    extras: Vec<(String, Vec<u8>)>,
-    arena_offset: usize,
-    arena_len: usize,
-}
-
-/// Parses a v3 body (reader positioned at the variant byte) and validates
-/// every arena coordinate against `total_len`, the file's byte length.
-/// Misaligned or out-of-bounds offsets — the hostile inputs a mapped reader
-/// must never dereference — are typed [`CheckpointError::Corrupt`] values.
-fn parse_v3(r: &mut ByteReader, total_len: usize) -> Result<V3Header, CheckpointError> {
-    let sequential = match r.get_u8()? {
-        VARIANT_SEQUENTIAL => true,
-        VARIANT_LOCAL => false,
-        VARIANT_RECOMMENDER => {
-            return Err(CheckpointError::Corrupt(
-                "downstream-recommender artifact; decode via FrozenArtifact",
-            ))
-        }
-        _ => return Err(CheckpointError::Corrupt("bad artifact-variant tag")),
-    };
-    let gamma = r.get_f32()?;
-    let schema = get_schema(r)?;
-    let embed_dim = r.get_u32()? as usize;
-    let gru_hidden = r.get_u32()? as usize;
-    let n_mlp = r.get_u32()? as usize;
-    let mut mlp_hidden = Vec::with_capacity(n_mlp.min(1 << 10));
-    for _ in 0..n_mlp {
-        mlp_hidden.push(r.get_u32()? as usize);
-    }
-    let hash_buckets = r.get_u32()? as usize;
-    let hash_k = r.get_u32()? as usize;
-    let table = |r: &mut ByteReader| -> Result<Vec<MappedEntry>, CheckpointError> {
-        let n = r.get_u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            let name = String::from_utf8(r.get_bytes()?)
-                .map_err(|_| CheckpointError::Corrupt("non-utf8 name"))?;
-            let rows = r.get_u32()? as usize;
-            let cols = r.get_u32()? as usize;
-            let offset = r.get_u64()? as usize;
-            out.push(MappedEntry {
-                name,
-                rows,
-                cols,
-                offset,
-            });
-        }
-        Ok(out)
-    };
-    let g = table(r)?;
-    let h = table(r)?;
-    let n_extra = r.get_u32()? as usize;
-    let mut extras = Vec::with_capacity(n_extra.min(1 << 10));
-    for _ in 0..n_extra {
-        let name = String::from_utf8(r.get_bytes()?)
-            .map_err(|_| CheckpointError::Corrupt("non-utf8 name"))?;
-        extras.push((name, r.get_bytes()?));
-    }
-    let arena_len = r.get_u64()? as usize;
-    let arena_offset = r.get_u64()? as usize;
-    if !arena_offset.is_multiple_of(16) {
-        return Err(CheckpointError::Corrupt("arena offset not 16-byte aligned"));
-    }
-    let arena_end = arena_offset
-        .checked_add(arena_len)
-        .ok_or(CheckpointError::Corrupt("arena extent overflows"))?;
-    if arena_end > total_len {
-        return Err(CheckpointError::Corrupt("arena extends past end of file"));
-    }
-    for e in g.iter().chain(h.iter()) {
-        if !e.offset.is_multiple_of(16) {
-            return Err(CheckpointError::Corrupt("param offset not 16-byte aligned"));
-        }
-        let bytes = e
-            .rows
-            .checked_mul(e.cols)
-            .and_then(|n| n.checked_mul(4))
-            .ok_or(CheckpointError::Corrupt("param size overflows"))?;
-        let end = e
-            .offset
-            .checked_add(bytes)
-            .ok_or(CheckpointError::Corrupt("param extent overflows"))?;
-        if end > arena_len {
-            return Err(CheckpointError::Corrupt("param extends past end of arena"));
-        }
-    }
-    Ok(V3Header {
-        sequential,
-        gamma,
-        schema,
-        embed_dim,
-        gru_hidden,
-        mlp_hidden,
-        hash_buckets,
-        hash_k,
-        g,
-        h,
-        extras,
-        arena_offset,
-        arena_len,
-    })
-}
-
-/// Rebuilds a byte-identical `uae_tensor::serialize` "UAEP" blob from v3
-/// arena entries — the copy path for `decode()` on a v3 byte slice, so v2
-/// and v3 decodes compare equal and `build()` shares one loader.
-fn blob_from_entries(bytes: &[u8], arena_offset: usize, entries: &[MappedEntry]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(b"UAEP");
-    out.extend_from_slice(&1u32.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for e in entries {
-        out.extend_from_slice(&(e.name.len() as u32).to_le_bytes());
-        out.extend_from_slice(e.name.as_bytes());
-        out.extend_from_slice(&(e.rows as u32).to_le_bytes());
-        out.extend_from_slice(&(e.cols as u32).to_le_bytes());
-        let start = arena_offset + e.offset;
-        out.extend_from_slice(&bytes[start..start + e.rows * e.cols * 4]);
-    }
-    out
-}
-
-/// Points each parameter of `params` at its mapped arena slice. Validates
-/// every entry positionally by name and shape (the same contract as
-/// [`load_params`]) before touching any value, then swaps in zero-copy
-/// [`Matrix::from_mmap`] views and zeroes gradients.
-fn load_mapped(
+/// Points each parameter of `params` at its slice of `arena`'s table
+/// `table`. Validates every entry positionally by name and shape before
+/// touching any value, then swaps in zero-copy [`Matrix::from_mmap`] views
+/// and zeroes gradients.
+pub(crate) fn load_mapped(
     params: &mut Params,
-    region: &Arc<MmapRegion>,
-    entries: &[MappedEntry],
+    arena: &ParamArena,
+    table: usize,
 ) -> Result<(), UaeError> {
+    let entries = &arena.tables[table];
     if entries.len() != params.count() {
         return Err(UaeError::Decode(DecodeError::CountMismatch {
             expected: params.count(),
@@ -342,16 +348,52 @@ fn load_mapped(
         }
     }
     for (id, e) in ids.iter().zip(entries) {
-        let m = Matrix::from_mmap(Arc::clone(region), e.offset, e.rows, e.cols)
-            .map_err(|msg| UaeError::Checkpoint(CheckpointError::Corrupt(msg)))?;
+        let m = Matrix::from_mmap(
+            Arc::clone(&arena.region),
+            arena.offset + e.offset,
+            e.rows,
+            e.cols,
+        )
+        .map_err(|msg| UaeError::Checkpoint(CheckpointError::Corrupt(msg)))?;
         *params.value_mut(*id) = m;
     }
     params.zero_grads();
     Ok(())
 }
 
+/// Embedding rows `schema` implies; hashed models cap every table at
+/// `hash_buckets` rows.
+pub(crate) fn cat_rows(schema: &FeatureSchema, hash_buckets: usize) -> u64 {
+    schema
+        .cat_cardinalities
+        .iter()
+        .map(|&c| {
+            if hash_buckets > 0 {
+                c.min(hash_buckets) as u64
+            } else {
+                c as u64
+            }
+        })
+        .fold(0u64, |acc, r| acc.saturating_add(r))
+}
+
+/// Plausibility gate before a rebuild allocates from decoded architecture
+/// words: a bit-flipped cardinality or width field can imply
+/// terabyte-scale weights while the stored arena stays small. `implied` —
+/// a lower bound on the rebuilt model's scalar count — must fit (with
+/// generous slack) in the arena bytes actually present.
+pub(crate) fn check_plausible(implied: u64, arena: &ParamArena) -> Result<(), UaeError> {
+    let arena_bytes = arena.len as u64;
+    if implied.saturating_mul(4) > arena_bytes.saturating_mul(8).saturating_add(1 << 16) {
+        return Err(UaeError::Checkpoint(CheckpointError::Corrupt(
+            "implausible architecture: implied parameter count exceeds the stored arenas",
+        )));
+    }
+    Ok(())
+}
+
 /// A decoded frozen model: the immutable ingredients of the serving path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrozenModel {
     /// Feature schema the model was trained against (embedding tables and
     /// dense width are derived from it on rebuild).
@@ -372,55 +414,42 @@ pub struct FrozenModel {
     pub hash_buckets: usize,
     /// Hash functions per lookup when `hash_buckets > 0`.
     pub hash_k: usize,
-    /// Θ_g as a UAEP blob (empty when [`FrozenModel::open`] mapped the file
-    /// — the weights then live in `mapped`, not on the heap).
-    pub params_g: Vec<u8>,
-    /// Θ_h as a UAEP blob (empty when mapped; see `params_g`).
-    pub params_h: Vec<u8>,
     /// Named extra blobs (e.g. a downstream recommender's UAEP arena).
     pub extras: Vec<(String, Vec<u8>)>,
-    /// Zero-copy arena view set by [`FrozenModel::open`] on a v3 file.
-    /// [`FrozenModel::build`] prefers it over the blob path.
-    pub(crate) mapped: Option<MappedParams>,
-}
-
-impl PartialEq for FrozenModel {
-    /// Compares the decoded contents; the `mapped` transport (zero-copy vs
-    /// heap blobs) is deliberately ignored.
-    fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema
-            && self.sequential == other.sequential
-            && self.gamma == other.gamma
-            && self.embed_dim == other.embed_dim
-            && self.gru_hidden == other.gru_hidden
-            && self.mlp_hidden == other.mlp_hidden
-            && self.hash_buckets == other.hash_buckets
-            && self.hash_k == other.hash_k
-            && self.params_g == other.params_g
-            && self.params_h == other.params_h
-            && self.extras == other.extras
-    }
+    /// Θ_g (table 0) and Θ_h (table 1).
+    arena: ParamArena,
 }
 
 impl FrozenModel {
-    /// Freezes a trained model: snapshots both arenas and the architecture
-    /// hyper-parameters needed to rebuild it.
-    pub fn from_uae(uae: &Uae, schema: &FeatureSchema, gamma: f32) -> FrozenModel {
-        let cfg = uae.config();
+    fn with_arena(
+        schema: &FeatureSchema,
+        cfg: &UaeConfig,
+        sequential: bool,
+        gamma: f32,
+        arena: ParamArena,
+    ) -> FrozenModel {
         FrozenModel {
             schema: schema.clone(),
-            sequential: uae.is_sequential(),
+            sequential,
             gamma,
             embed_dim: cfg.embed_dim,
             gru_hidden: cfg.gru_hidden,
             mlp_hidden: cfg.mlp_hidden.clone(),
             hash_buckets: cfg.hash_buckets,
             hash_k: cfg.hash_k,
-            params_g: save_params(uae.attention_params()),
-            params_h: save_params(uae.propensity_params()),
             extras: Vec::new(),
-            mapped: None,
+            arena,
         }
+    }
+
+    /// Freezes a trained model: lays both parameter sets into one arena
+    /// and keeps the architecture hyper-parameters needed to rebuild it.
+    pub fn from_uae(uae: &Uae, schema: &FeatureSchema, gamma: f32) -> FrozenModel {
+        let arena = ParamArena::lay_out(&[
+            named(uae.attention_params()),
+            named(uae.propensity_params()),
+        ]);
+        FrozenModel::with_arena(schema, uae.config(), uae.is_sequential(), gamma, arena)
     }
 
     /// Derives a frozen model from a `.uaec` training checkpoint written by
@@ -434,28 +463,24 @@ impl FrozenModel {
         sequential: bool,
         gamma: f32,
     ) -> Result<FrozenModel, UaeError> {
-        let arena = |i: usize| -> Result<Vec<u8>, UaeError> {
-            snap.arenas
+        let decoded = |i: usize| {
+            let blob = snap
+                .arenas
                 .get(i)
-                .cloned()
                 .ok_or(UaeError::Checkpoint(CheckpointError::Corrupt(
                     "checkpoint is missing a parameter arena",
-                )))
+                )))?;
+            decode_params(blob).map_err(UaeError::Decode)
         };
-        Ok(FrozenModel {
-            schema: schema.clone(),
-            sequential,
-            gamma,
-            embed_dim: cfg.embed_dim,
-            gru_hidden: cfg.gru_hidden,
-            mlp_hidden: cfg.mlp_hidden.clone(),
-            hash_buckets: cfg.hash_buckets,
-            hash_k: cfg.hash_k,
-            params_g: arena(0)?,
-            params_h: arena(1)?,
-            extras: Vec::new(),
-            mapped: None,
-        })
+        let (g, h) = (decoded(0)?, decoded(1)?);
+        let arena = ParamArena::lay_out(&[&g, &h].map(|ps| {
+            ps.iter()
+                .map(|p| (p.name.as_str(), &p.value))
+                .collect::<Vec<_>>()
+        }));
+        Ok(FrozenModel::with_arena(
+            schema, cfg, sequential, gamma, arena,
+        ))
     }
 
     /// Attaches a named extra blob (e.g. a downstream recommender arena).
@@ -472,35 +497,14 @@ impl FrozenModel {
             .map(|(_, b)| b.as_slice())
     }
 
-    /// Rebuilds the [`Uae`] model and loads both arenas into it. The UAEP
-    /// loader validates every tensor name and shape against the freshly
-    /// built architecture, so a snapshot exported from a different schema
-    /// or width fails with a typed [`UaeError::Decode`].
+    /// Rebuilds the [`Uae`] model and points both parameter sets at the
+    /// arena. The loader validates every tensor name and shape against the
+    /// freshly built architecture, so a snapshot exported from a different
+    /// schema or width fails with a typed [`UaeError::Decode`].
     pub fn build(&self) -> Result<Uae, UaeError> {
-        // Plausibility gate before any allocation trusts the decoded
-        // architecture: a bit-flipped cardinality or width field can imply
-        // terabyte-scale embedding tables while the stored arenas stay
-        // small. A conservative lower bound on the implied parameter count
-        // must fit (with generous slack) in the arena bytes actually
-        // present, or the artifact is corrupt.
         let e = self.embed_dim as u64;
         let h = self.gru_hidden as u64;
-        // Hashed models cap every table at hash_buckets rows, so the
-        // implied count must use the capped rows or huge-cardinality
-        // hashed artifacts would trip the gate.
-        let cat_rows: u64 = self
-            .schema
-            .cat_cardinalities
-            .iter()
-            .map(|&c| {
-                if self.hash_buckets > 0 {
-                    c.min(self.hash_buckets.max(1)) as u64
-                } else {
-                    c as u64
-                }
-            })
-            .fold(0u64, |acc, r| acc.saturating_add(r));
-        let mut implied = cat_rows.saturating_mul(e);
+        let mut implied = cat_rows(&self.schema, self.hash_buckets).saturating_mul(e);
         implied =
             implied.saturating_add(3u64.saturating_mul(h).saturating_mul(h.saturating_add(e)));
         let mut prev = h;
@@ -508,15 +512,7 @@ impl FrozenModel {
             implied = implied.saturating_add(prev.saturating_mul(m as u64));
             prev = m as u64;
         }
-        let arena_bytes = match &self.mapped {
-            Some(m) => m.arena_len as u64,
-            None => (self.params_g.len() + self.params_h.len()) as u64,
-        };
-        if implied.saturating_mul(4) > arena_bytes.saturating_mul(8).saturating_add(1 << 16) {
-            return Err(UaeError::Checkpoint(CheckpointError::Corrupt(
-                "implausible architecture: implied parameter count exceeds the stored arenas",
-            )));
-        }
+        check_plausible(implied, &self.arena)?;
         let cfg = UaeConfig {
             embed_dim: self.embed_dim,
             gru_hidden: self.gru_hidden,
@@ -525,153 +521,23 @@ impl FrozenModel {
             hash_k: self.hash_k,
             ..UaeConfig::default()
         };
-        // The seed only affects initial values, which the load overwrites.
+        // The seed only affects initial values, which the load replaces.
         let mut uae = if self.sequential {
             Uae::new(&self.schema, cfg)
         } else {
             Uae::new_sar(&self.schema, cfg)
         };
-        match &self.mapped {
-            Some(m) => {
-                // Zero-copy: point each weight matrix at the mapped arena.
-                load_mapped(uae.attention_params_mut(), &m.region, &m.g)?;
-                load_mapped(uae.propensity_params_mut(), &m.region, &m.h)?;
-            }
-            None => {
-                load_params(uae.attention_params_mut(), &self.params_g)
-                    .map_err(UaeError::Decode)?;
-                load_params(uae.propensity_params_mut(), &self.params_h)
-                    .map_err(UaeError::Decode)?;
-            }
-        }
+        load_mapped(uae.attention_params_mut(), &self.arena, 0)?;
+        load_mapped(uae.propensity_params_mut(), &self.arena, 1)?;
         Ok(uae)
     }
 
-    /// The per-arena raw parameters for a v3 encode, from whichever
-    /// transport this snapshot carries (heap blobs or a mapped region).
-    /// `None` when the blobs don't parse as UAEP — `encode` then falls back
-    /// to the opaque-blob v2 layout rather than failing.
-    fn arena_params(&self) -> Option<(Vec<ArenaParam>, Vec<ArenaParam>)> {
-        if let Some(m) = &self.mapped {
-            let bytes = m.region.bytes();
-            let from_entries = |entries: &[MappedEntry]| {
-                entries
-                    .iter()
-                    .map(|e| ArenaParam {
-                        name: e.name.clone(),
-                        rows: e.rows,
-                        cols: e.cols,
-                        data: bytes[e.offset..e.offset + e.rows * e.cols * 4].to_vec(),
-                    })
-                    .collect()
-            };
-            return Some((from_entries(&m.g), from_entries(&m.h)));
-        }
-        let from_blob = |blob: &[u8]| -> Option<Vec<ArenaParam>> {
-            Some(
-                decode_params(blob)
-                    .ok()?
-                    .into_iter()
-                    .map(|p| {
-                        let mut data = Vec::with_capacity(p.value.data().len() * 4);
-                        for &x in p.value.data() {
-                            data.extend_from_slice(&x.to_le_bytes());
-                        }
-                        ArenaParam {
-                            name: p.name,
-                            rows: p.value.rows(),
-                            cols: p.value.cols(),
-                            data,
-                        }
-                    })
-                    .collect(),
-            )
-        };
-        Some((from_blob(&self.params_g)?, from_blob(&self.params_h)?))
-    }
-
-    /// Serializes to `.uaem` bytes in the v3 arena layout: header with
-    /// per-parameter (name, shape, 16-byte-aligned relative offset), then a
-    /// zero-padded gap to a 16-byte-aligned absolute arena offset, then the
-    /// raw little-endian `f32` arena. Snapshots whose blobs are not UAEP
-    /// (hand-built test fixtures) fall back to [`FrozenModel::encode_v2`].
+    /// Serializes to `.uaem` bytes: header with per-parameter (name, shape,
+    /// 16-byte-aligned relative offset), then a zero-padded gap to a
+    /// 16-byte-aligned absolute arena offset, then the raw little-endian
+    /// `f32` arena.
     pub fn encode(&self) -> Vec<u8> {
-        let Some((g, h)) = self.arena_params() else {
-            return self.encode_v2();
-        };
-        // Lay out the arena: each parameter's raw bytes at a 16-byte-aligned
-        // relative offset.
-        let mut arena: Vec<u8> = Vec::new();
-        let place = |arena: &mut Vec<u8>, p: &ArenaParam| -> u64 {
-            let pad = (16 - arena.len() % 16) % 16;
-            arena.extend(std::iter::repeat_n(0u8, pad));
-            let off = arena.len() as u64;
-            arena.extend_from_slice(&p.data);
-            off
-        };
-        let g_offs: Vec<u64> = g.iter().map(|p| place(&mut arena, p)).collect();
-        let h_offs: Vec<u64> = h.iter().map(|p| place(&mut arena, p)).collect();
-        let mut w = ByteWriter::new();
-        w.put_bytes(MAGIC.as_slice());
-        w.put_u32(VERSION);
-        w.put_u8(if self.sequential {
-            VARIANT_SEQUENTIAL
-        } else {
-            VARIANT_LOCAL
-        });
-        w.put_f32(self.gamma);
-        put_schema(&mut w, &self.schema);
-        // Architecture.
-        w.put_u32(self.embed_dim as u32);
-        w.put_u32(self.gru_hidden as u32);
-        w.put_u32(self.mlp_hidden.len() as u32);
-        for &hh in &self.mlp_hidden {
-            w.put_u32(hh as u32);
-        }
-        w.put_u32(self.hash_buckets as u32);
-        w.put_u32(self.hash_k as u32);
-        // Parameter tables: names, shapes, arena-relative offsets.
-        let put_table = |w: &mut ByteWriter, ps: &[ArenaParam], offs: &[u64]| {
-            w.put_u32(ps.len() as u32);
-            for (p, &off) in ps.iter().zip(offs) {
-                w.put_bytes(p.name.as_bytes());
-                w.put_u32(p.rows as u32);
-                w.put_u32(p.cols as u32);
-                w.put_u64(off);
-            }
-        };
-        put_table(&mut w, &g, &g_offs);
-        put_table(&mut w, &h, &h_offs);
-        w.put_u32(self.extras.len() as u32);
-        for (name, blob) in &self.extras {
-            w.put_bytes(name.as_bytes());
-            w.put_bytes(blob);
-        }
-        w.put_u64(arena.len() as u64);
-        // Absolute arena offset, patched below once the header length is
-        // known (ByteWriter has no position accessor). Writing it explicitly
-        // — rather than deriving it as len − arena_len — means a truncated
-        // tail can never silently shift the arena.
-        w.put_u64(0);
-        let mut bytes = w.into_bytes();
-        let hlen = bytes.len();
-        let pad = (16 - hlen % 16) % 16;
-        let arena_offset = (hlen + pad) as u64;
-        bytes[hlen - 8..hlen].copy_from_slice(&arena_offset.to_le_bytes());
-        bytes.extend(std::iter::repeat_n(0u8, pad));
-        bytes.extend_from_slice(&arena);
-        bytes
-    }
-
-    /// Serializes in the legacy v2 layout (parameters as opaque embedded
-    /// blobs, no arena). Kept for downgrade paths and as the `encode`
-    /// fallback when the blobs are not UAEP; v2 loses the hash config
-    /// words, so hashed models must ship as v3.
-    pub fn encode_v2(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_bytes(MAGIC.as_slice());
-        w.put_u32(VERSION_V2);
-        w.put_u8(if self.sequential {
+        let mut w = put_header(if self.sequential {
             VARIANT_SEQUENTIAL
         } else {
             VARIANT_LOCAL
@@ -685,52 +551,39 @@ impl FrozenModel {
         for &h in &self.mlp_hidden {
             w.put_u32(h as u32);
         }
-        // Arenas and extras.
-        w.put_bytes(&self.params_g);
-        w.put_bytes(&self.params_h);
+        w.put_u32(self.hash_buckets as u32);
+        w.put_u32(self.hash_k as u32);
+        self.arena.put_tables(&mut w);
         w.put_u32(self.extras.len() as u32);
         for (name, blob) in &self.extras {
             w.put_bytes(name.as_bytes());
             w.put_bytes(blob);
         }
-        w.into_bytes()
+        self.arena.finish(w)
     }
 
-    /// Decodes `.uaem` bytes. Container-level damage is a typed
-    /// [`UaeError::Checkpoint`]. A downstream-recommender artifact (variant
-    /// 2) is rejected here — sniff with
-    /// [`FrozenArtifact::read_from`](crate::FrozenArtifact::read_from) when
-    /// the variant is not known up front.
+    /// Decodes `.uaem` bytes (copied into an aligned heap region).
+    /// Container-level damage is a typed [`UaeError::Checkpoint`]. A
+    /// downstream-recommender artifact (variant 2) is rejected here — sniff
+    /// with [`FrozenArtifact::read_from`](crate::FrozenArtifact::read_from)
+    /// when the variant is not known up front.
     pub fn decode(bytes: &[u8]) -> Result<FrozenModel, UaeError> {
-        let (mut r, version) = check_header(bytes)?;
-        if version == VERSION_V2 {
-            return FrozenModel::decode_v2_body(&mut r).map_err(UaeError::Checkpoint);
-        }
-        let hd = parse_v3(&mut r, bytes.len()).map_err(UaeError::Checkpoint)?;
-        // Copy path: rebuild the UAEP blobs from the arena so a v3 decode
-        // compares equal to the equivalent v2 decode.
-        let params_g = blob_from_entries(bytes, hd.arena_offset, &hd.g);
-        let params_h = blob_from_entries(bytes, hd.arena_offset, &hd.h);
-        Ok(FrozenModel {
-            schema: hd.schema,
-            sequential: hd.sequential,
-            gamma: hd.gamma,
-            embed_dim: hd.embed_dim,
-            gru_hidden: hd.gru_hidden,
-            mlp_hidden: hd.mlp_hidden,
-            hash_buckets: hd.hash_buckets,
-            hash_k: hd.hash_k,
-            params_g,
-            params_h,
-            extras: hd.extras,
-            mapped: None,
-        })
+        FrozenModel::load(copy_bytes(bytes))
     }
 
-    /// Decodes a v2 body (reader positioned at the variant byte). v2
-    /// predates hashed embeddings, so the hash config is dense (0 buckets).
-    fn decode_v2_body(r: &mut ByteReader) -> Result<FrozenModel, CheckpointError> {
-        let sequential = match r.get_u8()? {
+    /// The one loader: parses a `.uaem` region of variant 0 or 1.
+    fn load(region: Arc<MmapRegion>) -> Result<FrozenModel, UaeError> {
+        let (mut r, variant) = check_header(region.bytes())?;
+        FrozenModel::parse(&mut r, variant, &region).map_err(UaeError::Checkpoint)
+    }
+
+    /// Parses the body after the variant byte against `region`.
+    pub(crate) fn parse(
+        r: &mut ByteReader,
+        variant: u8,
+        region: &Arc<MmapRegion>,
+    ) -> Result<FrozenModel, CheckpointError> {
+        let sequential = match variant {
             VARIANT_SEQUENTIAL => true,
             VARIANT_LOCAL => false,
             VARIANT_RECOMMENDER => {
@@ -749,8 +602,9 @@ impl FrozenModel {
         for _ in 0..n_mlp {
             mlp_hidden.push(r.get_u32()? as usize);
         }
-        let params_g = r.get_bytes()?;
-        let params_h = r.get_bytes()?;
+        let hash_buckets = r.get_u32()? as usize;
+        let hash_k = r.get_u32()? as usize;
+        let tables = ParamArena::get_tables(r, 2)?;
         let n_extra = r.get_u32()? as usize;
         let mut extras = Vec::with_capacity(n_extra.min(1 << 10));
         for _ in 0..n_extra {
@@ -765,22 +619,18 @@ impl FrozenModel {
             embed_dim,
             gru_hidden,
             mlp_hidden,
-            hash_buckets: 0,
-            hash_k: 2,
-            params_g,
-            params_h,
+            hash_buckets,
+            hash_k,
             extras,
-            mapped: None,
+            arena: ParamArena::get_tail(r, region, tables)?,
         })
     }
 
-    /// Memory-maps a `.uaem` file and decodes it zero-copy: on a v3 file
-    /// the header is parsed but the parameter arena is *not* read — the
-    /// returned snapshot's [`FrozenModel::build`] points each weight
-    /// [`Matrix`] straight at the mapping, so cold-start cost is the header
-    /// parse plus page faults on first touch, independent of model size.
-    /// A v2 file (no arena layout) transparently falls back to the copy
-    /// decode of the mapped bytes.
+    /// Memory-maps a `.uaem` file: the header is parsed but the parameter
+    /// arena is *not* read — the returned snapshot's
+    /// [`FrozenModel::build`] points each weight [`Matrix`] straight at the
+    /// mapping, so cold-start cost is the header parse plus page faults on
+    /// first touch, independent of model size.
     ///
     /// ```
     /// use uae_core::{Uae, UaeConfig};
@@ -805,57 +655,24 @@ impl FrozenModel {
     pub fn open(path: &Path) -> Result<FrozenModel, UaeError> {
         let region = MmapRegion::map(path)
             .map_err(|e| UaeError::Checkpoint(CheckpointError::Io(e.to_string())))?;
-        let region = Arc::new(region);
-        let (mut r, version) = check_header(region.bytes())?;
-        if version == VERSION_V2 {
-            return FrozenModel::decode_v2_body(&mut r).map_err(UaeError::Checkpoint);
-        }
-        let total = region.len();
-        let hd = parse_v3(&mut r, total).map_err(UaeError::Checkpoint)?;
-        // Rebase entries from arena-relative to absolute file offsets; the
-        // arena offset is 16-byte aligned, so alignment survives.
-        let rebase = |mut es: Vec<MappedEntry>| {
-            for e in &mut es {
-                e.offset += hd.arena_offset;
-            }
-            es
-        };
-        Ok(FrozenModel {
-            schema: hd.schema,
-            sequential: hd.sequential,
-            gamma: hd.gamma,
-            embed_dim: hd.embed_dim,
-            gru_hidden: hd.gru_hidden,
-            mlp_hidden: hd.mlp_hidden,
-            hash_buckets: hd.hash_buckets,
-            hash_k: hd.hash_k,
-            params_g: Vec::new(),
-            params_h: Vec::new(),
-            extras: hd.extras,
-            mapped: Some(MappedParams {
-                region,
-                g: rebase(hd.g),
-                h: rebase(hd.h),
-                arena_len: hd.arena_len,
-            }),
-        })
+        FrozenModel::load(Arc::new(region))
     }
 
-    /// The zero-copy view when this snapshot was produced by
-    /// [`FrozenModel::open`] on a v3 file (`None` on the copy paths).
-    pub fn mapped(&self) -> Option<&MappedParams> {
-        self.mapped.as_ref()
+    /// The parameter arena and its transport.
+    pub fn arena(&self) -> &ParamArena {
+        &self.arena
     }
 
     /// Writes the snapshot to `path` atomically (sibling `.tmp` + rename,
     /// same crash-safety contract as `.uaec` checkpoints).
     pub fn write_to(&self, path: &Path) -> Result<(), UaeError> {
-        write_atomic(path, &self.encode())
+        write_atomic(path, &self.encode()).map_err(UaeError::Checkpoint)
     }
 
-    /// Reads and decodes a snapshot from `path`.
+    /// Reads a snapshot from `path` into an aligned heap region and decodes
+    /// it — the transport for files that may be replaced while in use.
     pub fn read_from(path: &Path) -> Result<FrozenModel, UaeError> {
-        FrozenModel::decode(&read_file(path)?)
+        FrozenModel::load(copy_file(path)?)
     }
 }
 
@@ -863,6 +680,7 @@ impl FrozenModel {
 mod tests {
     use super::*;
     use uae_data::{generate, SimConfig};
+    use uae_tensor::save_params;
 
     fn tiny_model() -> (uae_data::Dataset, Uae) {
         let ds = generate(&SimConfig::tiny(), 5);
@@ -899,6 +717,22 @@ mod tests {
             save_params(rebuilt.propensity_params()),
             save_params(uae.propensity_params())
         );
+    }
+
+    #[test]
+    fn from_checkpoint_lays_out_the_same_arena_as_from_uae() {
+        let (ds, uae) = tiny_model();
+        let snap = TrainSnapshot::capture(
+            1,
+            1,
+            &[uae.attention_params(), uae.propensity_params()],
+            &[],
+            &uae_tensor::Rng::seed_from_u64(0),
+            Vec::new(),
+        );
+        let frozen =
+            FrozenModel::from_checkpoint(&snap, &ds.schema, uae.config(), true, 15.0).unwrap();
+        assert_eq!(frozen, FrozenModel::from_uae(&uae, &ds.schema, 15.0));
     }
 
     #[test]
@@ -967,40 +801,19 @@ mod tests {
     }
 
     #[test]
-    fn v2_and_v3_decodes_are_equal_and_score_identically() {
-        let (ds, uae) = tiny_model();
-        let frozen = FrozenModel::from_uae(&uae, &ds.schema, 15.0);
-        let v3 = FrozenModel::decode(&frozen.encode()).unwrap();
-        let v2 = FrozenModel::decode(&frozen.encode_v2()).unwrap();
-        assert_eq!(v3, v2);
-        // The rebuilt parameter arenas are bit-identical regardless of the
-        // container version that carried them.
-        let a = v3.build().unwrap();
-        let b = v2.build().unwrap();
-        assert_eq!(
-            save_params(a.attention_params()),
-            save_params(b.attention_params())
-        );
-        assert_eq!(
-            save_params(a.propensity_params()),
-            save_params(b.propensity_params())
-        );
-    }
-
-    #[test]
-    fn open_maps_v3_and_builds_bit_identical_params() {
+    fn open_and_read_from_load_one_form_with_identical_params() {
         let (ds, uae) = tiny_model();
         let frozen = FrozenModel::from_uae(&uae, &ds.schema, 15.0);
         let dir = scratch_dir("open");
         let path = dir.join("model.uaem");
         frozen.write_to(&path).unwrap();
         let mapped = FrozenModel::open(&path).unwrap();
-        let mp = mapped.mapped().expect("v3 open should map the arena");
-        assert!(mp.arena_len() > 0);
-        assert!(mapped.params_g.is_empty() && mapped.params_h.is_empty());
-        // Decoded contents compare equal to the heap decode (PartialEq
-        // ignores the transport, and blobs are rebuilt only on the copy
-        // path, so compare the built parameters instead).
+        // One form, two transports: the mapped and the copied load compare
+        // equal (header fields and arena bytes), and both equal the export.
+        let copied = FrozenModel::read_from(&path).unwrap();
+        assert!(!copied.arena().is_mapped());
+        assert_eq!(mapped, copied);
+        assert_eq!(mapped, frozen);
         let built = mapped.build().unwrap();
         assert_eq!(
             save_params(built.attention_params()),
@@ -1010,19 +823,6 @@ mod tests {
             save_params(built.propensity_params()),
             save_params(uae.propensity_params())
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn open_falls_back_to_copy_decode_on_v2_files() {
-        let (ds, uae) = tiny_model();
-        let frozen = FrozenModel::from_uae(&uae, &ds.schema, 15.0);
-        let dir = scratch_dir("openv2");
-        let path = dir.join("model_v2.uaem");
-        write_atomic(&path, &frozen.encode_v2()).unwrap();
-        let opened = FrozenModel::open(&path).unwrap();
-        assert!(opened.mapped().is_none());
-        assert_eq!(opened, frozen);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,10 +3,11 @@
 //!
 //! A [`FrozenRecommender`] snapshots any Table-IV model — the feature
 //! schema, the [`ModelKind`] tag, the [`ModelConfig`] hyper-parameters, and
-//! the parameter arena as a `uae_tensor::serialize` "UAEP" blob — in the
-//! same `UAEM` container as the sequential UAE snapshot, distinguished by
-//! the variant byte. [`FrozenArtifact`] sniffs that byte so callers that do
-//! not know the variant up front (the `score` CLI) can decode either.
+//! the parameter arena — in the same `UAEM` v3 container and the same
+//! header + arena layout as the sequential UAE snapshot, distinguished by
+//! the variant byte, and loads through the same loader. [`FrozenArtifact`]
+//! sniffs that byte once so callers that do not know the variant up front
+//! (the `score` CLI) can load either.
 //!
 //! Scoring reuses the one-implementation forward: [`RecScorer`] drives the
 //! model's tape-free [`Recommender::infer`] over sequential index-range
@@ -15,16 +16,17 @@
 //! path at any batch size (the kernels are row-independent).
 
 use std::path::Path;
+use std::sync::Arc;
 
 use uae_data::{FeatureSchema, FlatData};
 use uae_models::{ModelConfig, ModelKind, Recommender};
-use uae_runtime::checkpoint::{ByteReader, ByteWriter, CheckpointError};
+use uae_runtime::checkpoint::{write_atomic, ByteReader, CheckpointError};
 use uae_runtime::UaeError;
-use uae_tensor::{load_params, sigmoid, Params, Rng};
+use uae_tensor::{sigmoid, MmapRegion, Params, Rng};
 
 use crate::model::{
-    check_header, get_schema, put_schema, read_file, write_atomic, MAGIC, VARIANT_RECOMMENDER,
-    VERSION,
+    cat_rows, check_header, check_plausible, copy_bytes, copy_file, get_schema, load_mapped, named,
+    put_header, put_schema, ParamArena, VARIANT_RECOMMENDER,
 };
 use crate::FrozenModel;
 
@@ -61,13 +63,13 @@ pub struct FrozenRecommender {
     pub kind: ModelKind,
     /// Hyper-parameters needed to rebuild the architecture.
     pub config: ModelConfig,
-    /// The parameter arena as a UAEP blob.
-    pub params: Vec<u8>,
+    /// The parameter arena (one table).
+    arena: ParamArena,
 }
 
 impl FrozenRecommender {
-    /// Freezes a trained recommender's parameter arena together with the
-    /// architecture recipe that rebuilds it.
+    /// Freezes a trained recommender's parameters into an arena together
+    /// with the architecture recipe that rebuilds it.
     pub fn new(
         schema: &FeatureSchema,
         kind: ModelKind,
@@ -78,29 +80,61 @@ impl FrozenRecommender {
             schema: schema.clone(),
             kind,
             config: config.clone(),
-            params: uae_tensor::save_params(params),
+            arena: ParamArena::lay_out(&[named(params)]),
         }
     }
 
-    /// Rebuilds the model and loads the frozen arena into it. The UAEP
+    /// A lower bound on the scalars `kind.build` allocates: the embedding
+    /// tables every kind has, plus the kind's MLP, cross or attention
+    /// weights.
+    fn implied_scalars(&self) -> u64 {
+        let c = &self.config;
+        let e = c.embed_dim as u64;
+        let dim = (self.schema.num_cat_fields() as u64)
+            .saturating_mul(e)
+            .saturating_add(self.schema.num_dense() as u64);
+        let mlp = || {
+            let mut prev = dim;
+            c.hidden.iter().fold(0u64, |n, &h| {
+                let n = n.saturating_add(prev.saturating_mul(h as u64));
+                prev = h as u64;
+                n
+            })
+        };
+        let layers = |n: usize| n.max(1) as u64;
+        let head = match self.kind {
+            ModelKind::Fm => 0,
+            ModelKind::WideDeep | ModelKind::DeepFm | ModelKind::YoutubeNet => mlp(),
+            ModelKind::Dcn | ModelKind::DcnV2 => {
+                mlp().saturating_add(layers(c.cross_layers).saturating_mul(dim))
+            }
+            ModelKind::AutoInt => layers(c.attn_layers)
+                .saturating_mul(c.attn_heads as u64)
+                .saturating_mul(c.attn_head_dim as u64),
+        };
+        cat_rows(&self.schema, c.hash_buckets)
+            .saturating_mul(e)
+            .saturating_add(head)
+    }
+
+    /// Rebuilds the model and points its parameters at the arena. The
     /// loader validates every tensor name and shape against the freshly
     /// built architecture, so a snapshot exported from a different schema
     /// or config fails with a typed [`UaeError::Decode`].
     pub fn build(&self) -> Result<(Box<dyn Recommender + Send + Sync>, Params), UaeError> {
-        // The seed only affects initial values, which load_params overwrites.
+        check_plausible(self.implied_scalars(), &self.arena)?;
+        // The seed only affects initial values, which the load replaces.
         let (model, mut params) =
             self.kind
                 .build(&self.schema, &self.config, &mut Rng::seed_from_u64(0));
-        load_params(&mut params, &self.params).map_err(UaeError::Decode)?;
+        load_mapped(&mut params, &self.arena, 0)?;
         Ok((model, params))
     }
 
-    /// Serializes to `.uaem` bytes (variant 2).
+    /// Serializes to `.uaem` bytes (variant 2), in the same header + arena
+    /// layout as [`FrozenModel::encode`].
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_bytes(MAGIC.as_slice());
-        w.put_u32(VERSION);
-        w.put_u8(VARIANT_RECOMMENDER);
+        let mut w = put_header(VARIANT_RECOMMENDER);
         w.put_u8(kind_tag(self.kind));
         put_schema(&mut w, &self.schema);
         // Architecture.
@@ -113,33 +147,33 @@ impl FrozenRecommender {
         w.put_u32(self.config.attn_heads as u32);
         w.put_u32(self.config.attn_head_dim as u32);
         w.put_u32(self.config.attn_layers as u32);
-        // v3: hashed-embedding config words.
         w.put_u32(self.config.hash_buckets as u32);
         w.put_u32(self.config.hash_k as u32);
-        // Arena.
-        w.put_bytes(&self.params);
-        w.into_bytes()
+        self.arena.put_tables(&mut w);
+        self.arena.finish(w)
     }
 
     /// Decodes `.uaem` bytes; rejects non-recommender variants. Sniff with
     /// [`FrozenArtifact::decode`] when the variant is not known up front.
     pub fn decode(bytes: &[u8]) -> Result<FrozenRecommender, UaeError> {
-        let (mut r, version) = check_header(bytes)?;
-        let inner = |r: &mut ByteReader| -> Result<FrozenRecommender, CheckpointError> {
-            if r.get_u8()? != VARIANT_RECOMMENDER {
-                return Err(CheckpointError::Corrupt(
-                    "not a downstream-recommender artifact; decode via FrozenArtifact",
-                ));
-            }
-            FrozenRecommender::decode_body(r, version)
-        };
-        inner(&mut r).map_err(UaeError::Checkpoint)
+        FrozenRecommender::load(copy_bytes(bytes))
     }
 
-    /// Decodes the payload after the variant byte (shared with the
-    /// [`FrozenArtifact`] sniffing path). v2 predates hashed embeddings,
-    /// so its config decodes dense (0 buckets).
-    fn decode_body(r: &mut ByteReader, version: u32) -> Result<FrozenRecommender, CheckpointError> {
+    fn load(region: Arc<MmapRegion>) -> Result<FrozenRecommender, UaeError> {
+        let (mut r, variant) = check_header(region.bytes())?;
+        if variant != VARIANT_RECOMMENDER {
+            return Err(UaeError::Checkpoint(CheckpointError::Corrupt(
+                "not a downstream-recommender artifact; decode via FrozenArtifact",
+            )));
+        }
+        FrozenRecommender::parse(&mut r, &region).map_err(UaeError::Checkpoint)
+    }
+
+    /// Parses the body after the variant byte against `region`.
+    fn parse(
+        r: &mut ByteReader,
+        region: &Arc<MmapRegion>,
+    ) -> Result<FrozenRecommender, CheckpointError> {
         let kind = kind_from_tag(r.get_u8()?)?;
         let schema = get_schema(r)?;
         let embed_dim = r.get_u32()? as usize;
@@ -148,42 +182,33 @@ impl FrozenRecommender {
         for _ in 0..n_hidden {
             hidden.push(r.get_u32()? as usize);
         }
-        let cross_layers = r.get_u32()? as usize;
-        let attn_heads = r.get_u32()? as usize;
-        let attn_head_dim = r.get_u32()? as usize;
-        let attn_layers = r.get_u32()? as usize;
-        let (hash_buckets, hash_k) = if version >= crate::model::VERSION {
-            (r.get_u32()? as usize, r.get_u32()? as usize)
-        } else {
-            (0, 2)
-        };
         let config = ModelConfig {
             embed_dim,
             hidden,
-            cross_layers,
-            attn_heads,
-            attn_head_dim,
-            attn_layers,
-            hash_buckets,
-            hash_k,
+            cross_layers: r.get_u32()? as usize,
+            attn_heads: r.get_u32()? as usize,
+            attn_head_dim: r.get_u32()? as usize,
+            attn_layers: r.get_u32()? as usize,
+            hash_buckets: r.get_u32()? as usize,
+            hash_k: r.get_u32()? as usize,
         };
-        let params = r.get_bytes()?;
+        let tables = ParamArena::get_tables(r, 1)?;
         Ok(FrozenRecommender {
             schema,
             kind,
             config,
-            params,
+            arena: ParamArena::get_tail(r, region, tables)?,
         })
     }
 
     /// Writes the snapshot to `path` atomically (sibling `.tmp` + rename).
     pub fn write_to(&self, path: &Path) -> Result<(), UaeError> {
-        write_atomic(path, &self.encode())
+        write_atomic(path, &self.encode()).map_err(UaeError::Checkpoint)
     }
 
     /// Reads and decodes a snapshot from `path`.
     pub fn read_from(path: &Path) -> Result<FrozenRecommender, UaeError> {
-        FrozenRecommender::decode(&read_file(path)?)
+        FrozenRecommender::load(copy_file(path)?)
     }
 }
 
@@ -203,22 +228,23 @@ pub enum FrozenArtifact {
 impl FrozenArtifact {
     /// Decodes either artifact variant by sniffing the variant byte.
     pub fn decode(bytes: &[u8]) -> Result<FrozenArtifact, UaeError> {
-        let (mut r, version) = check_header(bytes)?;
-        let variant = r.get_u8().map_err(UaeError::Checkpoint)?;
-        if variant == VARIANT_RECOMMENDER {
-            FrozenRecommender::decode_body(&mut r, version)
-                .map(FrozenArtifact::Recommender)
-                .map_err(UaeError::Checkpoint)
-        } else {
-            // Re-decode from the top so FrozenModel::decode owns the full
-            // variant validation (including the unknown-tag error).
-            FrozenModel::decode(bytes).map(FrozenArtifact::Uae)
-        }
+        FrozenArtifact::load(copy_bytes(bytes))
     }
 
     /// Reads and decodes either artifact variant from `path`.
     pub fn read_from(path: &Path) -> Result<FrozenArtifact, UaeError> {
-        FrozenArtifact::decode(&read_file(path)?)
+        FrozenArtifact::load(copy_file(path)?)
+    }
+
+    /// Sniffs the variant byte once and parses that variant's body.
+    fn load(region: Arc<MmapRegion>) -> Result<FrozenArtifact, UaeError> {
+        let (mut r, variant) = check_header(region.bytes())?;
+        let artifact = if variant == VARIANT_RECOMMENDER {
+            FrozenRecommender::parse(&mut r, &region).map(FrozenArtifact::Recommender)
+        } else {
+            FrozenModel::parse(&mut r, variant, &region).map(FrozenArtifact::Uae)
+        };
+        artifact.map_err(UaeError::Checkpoint)
     }
 }
 

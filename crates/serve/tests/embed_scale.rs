@@ -1,7 +1,7 @@
-//! End-to-end contracts of the embedding scale-out PR: a dense model
-//! exported as `.uaem` v2 and v3 must score bit-identically, the
-//! memory-mapped v3 path must match the copy path bit-for-bit, and hashed
-//! artifacts must round-trip with their bucket config intact.
+//! End-to-end contracts of the `.uaem` embedding scale-out: a dense model
+//! must score bit-identically whether it is kept in memory, copied from
+//! disk or memory-mapped, and hashed artifacts must round-trip with their
+//! bucket config intact.
 
 use uae_core::{Uae, UaeConfig};
 use uae_data::{generate, Dataset, SimConfig};
@@ -29,34 +29,35 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The headline format contract: the container version is transport, not
-/// semantics. One trained model exported as v2 (opaque blobs) and as v3
-/// (mapped arena), loaded back through the copy decoder *and* through the
-/// zero-copy `open`, produces bit-identical attention/propensity scores.
+/// The headline format contract: copy vs map is transport, not semantics.
+/// One trained model loaded back through the copying `read_from`, the
+/// zero-copy `open`, and kept in memory from `from_uae` produces
+/// bit-identical attention/propensity scores.
 #[test]
-fn v2_and_v3_exports_score_bit_identically() {
+fn read_from_open_and_in_memory_score_bit_identically() {
     let (ds, uae) = trained(0);
     let frozen = FrozenModel::from_uae(&uae, &ds.schema, 15.0);
-    let dir = scratch("v2v3");
-    let v2_path = dir.join("model_v2.uaem");
-    let v3_path = dir.join("model_v3.uaem");
-    std::fs::write(&v2_path, frozen.encode_v2()).unwrap();
-    frozen.write_to(&v3_path).unwrap();
+    let dir = scratch("transports");
+    let path = dir.join("model.uaem");
+    frozen.write_to(&path).unwrap();
 
     let sessions: Vec<usize> = (0..ds.sessions.len()).collect();
     let score = |frozen: FrozenModel| {
         let out = Scorer::new(frozen).unwrap().score(&ds, &sessions);
         (out.attention, out.propensity, out.weights)
     };
-    let base = score(FrozenModel::read_from(&v2_path).unwrap());
-    let v3_copy = score(FrozenModel::read_from(&v3_path).unwrap());
-    assert_eq!(base, v3_copy, "v3 copy decode diverged from v2");
-    let v3_mapped = FrozenModel::open(&v3_path).unwrap();
+    let mapped = FrozenModel::open(&path).unwrap();
     assert!(
-        v3_mapped.mapped().is_some(),
-        "open() should map a v3 file zero-copy"
+        mapped.arena().is_mapped(),
+        "open() should map the file zero-copy"
     );
-    assert_eq!(base, score(v3_mapped), "mapped v3 diverged from v2");
+    let base = score(frozen);
+    assert_eq!(
+        base,
+        score(FrozenModel::read_from(&path).unwrap()),
+        "copy load diverged"
+    );
+    assert_eq!(base, score(mapped), "mapped load diverged");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

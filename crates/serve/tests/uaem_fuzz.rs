@@ -7,20 +7,40 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use uae_core::UaeConfig;
+use uae_core::{Uae, UaeConfig};
 use uae_data::{generate, SimConfig};
+use uae_models::{ModelConfig, ModelKind};
 use uae_runtime::UaeError;
-use uae_serve::{FrozenArtifact, FrozenModel};
+use uae_serve::{FrozenArtifact, FrozenModel, FrozenRecommender};
 
-fn tiny_frozen() -> FrozenModel {
+fn tiny_uae() -> (uae_data::Dataset, Uae) {
     let ds = generate(&SimConfig::tiny(), 41);
     let cfg = UaeConfig {
         gru_hidden: 4,
         mlp_hidden: vec![4],
         ..UaeConfig::default()
     };
-    let uae = uae_core::Uae::new(&ds.schema, cfg);
+    let uae = Uae::new(&ds.schema, cfg);
+    (ds, uae)
+}
+
+fn tiny_frozen() -> FrozenModel {
+    let (ds, uae) = tiny_uae();
     FrozenModel::from_uae(&uae, &ds.schema, 15.0)
+}
+
+/// A small variant-2 artifact: an untrained DCN-V2 over the tiny schema.
+fn tiny_recommender() -> Vec<u8> {
+    let ds = generate(&SimConfig::tiny(), 41);
+    let cfg = ModelConfig {
+        embed_dim: 4,
+        hidden: vec![8],
+        cross_layers: 1,
+        ..ModelConfig::default()
+    };
+    let (_model, params) =
+        ModelKind::DcnV2.build(&ds.schema, &cfg, &mut uae_tensor::Rng::seed_from_u64(7));
+    FrozenRecommender::new(&ds.schema, ModelKind::DcnV2, &cfg, &params).encode()
 }
 
 fn tiny_artifact() -> Vec<u8> {
@@ -86,16 +106,60 @@ fn oversized_length_fields_fail_fast_without_allocating() {
             other => panic!("hostile len {hostile}: expected typed error, got {other:?}"),
         }
     }
-    // Same attack on an interior length prefix (the params_g arena): find
-    // it by decoding the valid artifact and corrupting past the header.
-    let mut mutated = bytes.clone();
-    let tail = mutated.len() - 12;
-    mutated[tail..tail + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    match decode_never_panics(&mutated) {
-        Some(Err(UaeError::Checkpoint(_))) => {}
-        Some(Ok(_)) => {} // landed inside a blob that still parses — fine
-        other => panic!("interior hostile len: {other:?}"),
+    // Same attack on the interior v3 length fields: the first parameter
+    // table entry's name length, an extras blob's length, and arena_len.
+    let (ds, uae) = tiny_uae();
+    let extra = vec![0xAB; 24];
+    let bytes = FrozenModel::from_uae(&uae, &ds.schema, 15.0)
+        .with_extra("fuzz", extra.clone())
+        .encode();
+    let params = uae.attention_params();
+    let first_name = params.name(params.ids().next().unwrap());
+    let fields = [
+        (
+            "param name length",
+            len_prefix_of(&bytes, first_name.as_bytes()),
+        ),
+        ("extras blob length", len_prefix_of(&bytes, &extra)),
+        ("arena_len", arena_len_pos(&bytes)),
+    ];
+    for (field, pos) in fields {
+        for hostile in [u64::MAX, u64::MAX / 2, (bytes.len() as u64) + 1] {
+            let mut mutated = bytes.clone();
+            mutated[pos..pos + 8].copy_from_slice(&hostile.to_le_bytes());
+            match decode_never_panics(&mutated) {
+                Some(Err(UaeError::Checkpoint(_))) => {}
+                other => panic!("{field} = {hostile}: expected typed error, got {other:?}"),
+            }
+        }
     }
+}
+
+/// Byte position of the u64 length prefix written in front of `payload`.
+fn len_prefix_of(bytes: &[u8], payload: &[u8]) -> usize {
+    let mut field = (payload.len() as u64).to_le_bytes().to_vec();
+    field.extend_from_slice(payload);
+    bytes
+        .windows(field.len())
+        .position(|w| w == field)
+        .expect("length-prefixed field not found")
+}
+
+/// Byte position of the `arena_len` word. It is followed by the 16-aligned
+/// `arena_offset`, which points just past the header's zero padding, and the
+/// arena runs from there to the end of the file.
+fn arena_len_pos(bytes: &[u8]) -> usize {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    (16..=bytes.len())
+        .find(|&end| {
+            let offset = word(end - 8);
+            offset.is_multiple_of(16)
+                && (end..end + 16).contains(&offset)
+                && offset <= bytes.len()
+                && word(end - 16) == bytes.len() - offset
+        })
+        .expect("arena_len field not found")
+        - 16
 }
 
 #[test]
@@ -137,26 +201,6 @@ fn garbage_and_empty_inputs_are_typed_errors() {
         match decode_never_panics(&bytes) {
             Some(Err(UaeError::Checkpoint(_))) => {}
             other => panic!("{} bytes of garbage: {other:?}", bytes.len()),
-        }
-    }
-}
-
-/// The legacy v2 layout (opaque embedded blobs) keeps its full corruption
-/// guarantees now that `encode` emits v3: every truncation of a v2 file is
-/// still a typed error, and the intact file still decodes.
-#[test]
-fn v2_truncations_stay_typed_errors() {
-    let bytes = tiny_frozen().encode_v2();
-    assert!(
-        FrozenModel::decode(&bytes).is_ok(),
-        "v2 baseline must decode"
-    );
-    for cut in 0..bytes.len() {
-        match decode_never_panics(&bytes[..cut]) {
-            Some(Err(UaeError::Checkpoint(_))) => {}
-            Some(Err(other)) => panic!("cut={cut}: unexpected error kind {other:?}"),
-            Some(Ok(_)) => panic!("cut={cut}: truncated v2 artifact decoded"),
-            None => panic!("cut={cut}: decode panicked"),
         }
     }
 }
@@ -225,4 +269,78 @@ fn read_from_missing_or_corrupt_files_is_typed() {
         other => panic!("{other:?}"),
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Variant 2 (downstream recommenders) rides the same loader, so it owes
+/// the same guarantees: every truncation, through both the sniffing decoder
+/// and the file reader, is a typed error.
+#[test]
+fn recommender_truncations_are_typed_errors() {
+    let bytes = tiny_recommender();
+    assert!(matches!(
+        FrozenArtifact::decode(&bytes),
+        Ok(FrozenArtifact::Recommender(_))
+    ));
+    let dir = std::env::temp_dir().join(format!("uaem_fuzz_rec_cut_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("rec.uaem");
+    for cut in 0..bytes.len() {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        for (via, outcome) in [
+            (
+                "FrozenArtifact::decode",
+                catch_unwind(|| FrozenArtifact::decode(&bytes[..cut]).map(drop)),
+            ),
+            (
+                "FrozenRecommender::read_from",
+                catch_unwind(|| FrozenRecommender::read_from(&path).map(drop)),
+            ),
+        ] {
+            match outcome {
+                Ok(Err(UaeError::Checkpoint(_))) => {}
+                Ok(Err(other)) => panic!("{via} cut={cut}: unexpected error kind {other:?}"),
+                Ok(Ok(())) => panic!("{via} cut={cut}: truncated artifact decoded"),
+                Err(_) => panic!("{via} cut={cut}: panicked"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Strided bit flips of a variant-2 artifact: decoding is typed, and any
+/// flipped file that still decodes must build (or fail typed) without a
+/// panic — the plausibility gate keeps a flipped width from allocating.
+#[test]
+fn recommender_bit_flips_never_panic_decode_or_build() {
+    let bytes = tiny_recommender();
+    let dir = std::env::temp_dir().join(format!("uaem_fuzz_rec_flip_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("rec.uaem");
+    let positions = (0..256.min(bytes.len())).chain((256..bytes.len()).step_by(37));
+    for pos in positions {
+        let mut mutated = bytes.clone();
+        mutated[pos] ^= 0xFF;
+        std::fs::write(&path, &mutated).unwrap();
+        let decoded = catch_unwind(|| match FrozenArtifact::decode(&mutated) {
+            Ok(FrozenArtifact::Recommender(r)) => Ok(Some(r)),
+            Ok(FrozenArtifact::Uae(_)) => Ok(None),
+            Err(e) => Err(e),
+        });
+        let read = catch_unwind(|| FrozenRecommender::read_from(&path).map(Some));
+        for (via, outcome) in [
+            ("FrozenArtifact::decode", decoded),
+            ("FrozenRecommender::read_from", read),
+        ] {
+            match outcome {
+                Ok(Err(UaeError::Checkpoint(_))) | Ok(Ok(None)) => {}
+                Ok(Err(other)) => panic!("{via} pos={pos}: unexpected error kind {other:?}"),
+                Ok(Ok(Some(frozen))) => {
+                    let built = catch_unwind(AssertUnwindSafe(|| frozen.build().map(drop)));
+                    assert!(built.is_ok(), "{via} pos={pos}: build() panicked");
+                }
+                Err(_) => panic!("{via} pos={pos}: panicked"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -13,7 +13,9 @@
 //! `*-gnu`/`*-musl`/apple target already links. On non-unix targets (and on
 //! a failed `mmap`) the region falls back to an ordinary read into a
 //! 16-byte-aligned heap buffer — same API, same alignment guarantee, no
-//! page-cache sharing.
+//! page-cache sharing. That heap form is also public ([`MmapRegion::read`],
+//! [`MmapRegion::heap`]), so copied and freshly built arenas share one type
+//! with mapped ones.
 
 use std::fs::File;
 use std::io;
@@ -106,16 +108,35 @@ impl MmapRegion {
         })
     }
 
+    /// Reads `path` into a 16-byte-aligned heap region without mapping it —
+    /// the copy transport, for files that may be replaced while in use.
+    pub fn read(path: &Path) -> io::Result<MmapRegion> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len() as usize;
+        Self::read_fallback(file, len)
+    }
+
     fn read_fallback(mut file: File, len: usize) -> io::Result<MmapRegion> {
         use std::io::Read as _;
+        let mut read = Ok(());
+        let region = Self::heap(len, |bytes| read = file.read_exact(bytes));
+        read.map(|()| region)
+    }
+
+    /// A zeroed 16-byte-aligned heap region of `len` bytes, written in
+    /// place by `fill` before it becomes immutable.
+    pub fn heap(len: usize, fill: impl FnOnce(&mut [u8])) -> MmapRegion {
         let words = len.div_ceil(16);
         let mut buf = vec![0u128; words];
+        // SAFETY: `buf` owns `words * 16` initialised (zeroed) bytes, any
+        // byte pattern is a valid `u128`, and this view is the only borrow
+        // of `buf` until `fill` returns.
         let bytes =
             unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, words * 16) };
-        file.read_exact(&mut bytes[..len])?;
-        Ok(MmapRegion {
+        fill(&mut bytes[..len]);
+        MmapRegion {
             backing: Backing::Heap(buf, len),
-        })
+        }
     }
 
     /// The mapped file contents.
