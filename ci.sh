@@ -290,7 +290,16 @@ test -s "$dump_path" || { echo "serve-ctl dump produced no file ($dump_out)"; ki
 top_out=$(./target/release/uae top "$addr" --iterations 1)
 grep -q "uae top" <<< "$top_out"
 grep -q "request_us" <<< "$top_out"
+# Shut down with an idle connection held open: the daemon must still exit
+# promptly (shutdown ends the blocked read directly; nothing polls).
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
 ./target/release/uae serve-ctl "$addr" shutdown | grep -q "shutting down"
+for _ in $(seq 100); do kill -0 "$daemon_pid" 2>/dev/null || break; sleep 0.1; done
+if kill -0 "$daemon_pid" 2>/dev/null; then
+    echo "daemon still running 10 s after shutdown with an idle connection held"
+    kill "$daemon_pid"; exit 1
+fi
+exec 3<&-
 wait "$daemon_pid"
 # The injected panics must also have dumped the flight recorder.
 ls /tmp/uae_ci_flight/uae-flight-*.jsonl >/dev/null \

@@ -27,10 +27,15 @@
 //!   panicking scorer answers its jobs with [`UaeError::WorkerPanic`],
 //!   sleeps a deterministic [`Backoff`] step, and keeps serving.
 //! * **Hot swap with drain** — `Swap` loads a new `.uaem`, flips the
-//!   generation behind an `RwLock<Arc<Generation>>`, then waits for the old
-//!   generation's refcount to drain (in-flight batches hold clones). A
-//!   failed decode or schema mismatch rolls back to last-good and answers
+//!   generation behind an `RwLock<Arc<Generation>>`, then waits on a
+//!   condvar until the old generation's refcount drains (in-flight batches
+//!   hold clones; a worker notifies as it drops one). A failed decode or
+//!   schema mismatch rolls back to last-good and answers
 //!   [`UaeError::SwapRejected`].
+//! * **Blocking, no timers** — every thread blocks on what it waits for.
+//!   Shutdown wakes each directly: `shutdown(Read)` on every connection,
+//!   one self-connect for `accept`, a condvar notify for drain and
+//!   metrics. Only a started frame is read under a timeout.
 //! * **Request-scoped tracing** — every `Score` request gets a trace id
 //!   minted at decode (`UAE_TRACE`, on by default) and carried through
 //!   admission → batch assembly → scoring → reply; per-stage timings land
@@ -46,12 +51,15 @@
 //!   set, a metrics thread additionally emits a periodic
 //!   [`uae_obs::Event::MetricsSnapshot`] carrying the histogram state.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use uae_data::{Dataset, Event, FeatureSchema, Feedback, Session, Truth};
@@ -70,8 +78,10 @@ use crate::wire::{self, Request, Response, SessionScores, StatsSnapshot, WireHis
 /// generation's first requests).
 const SWAP_DRAIN_BUDGET: Duration = Duration::from_secs(5);
 
-/// Poll interval of the non-blocking accept loop and connection peek loop.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
+/// How long a peer may stall once a frame has started arriving before the
+/// read fails with a typed error and the connection is dropped. Idle
+/// connections between frames have no timer.
+const FRAME_STALL_BUDGET: Duration = Duration::from_secs(5);
 
 /// Serving knobs (`UAE_SERVE_*` plus the observability family).
 #[derive(Debug, Clone)]
@@ -136,45 +146,30 @@ impl DaemonConfig {
     /// admission semantics.
     pub fn from_env() -> DaemonConfig {
         let mut cfg = DaemonConfig::default();
-        if let Ok(v) = std::env::var("UAE_SERVE_ADDR") {
-            if !v.trim().is_empty() {
-                cfg.addr = v.trim().to_string();
-            }
-        }
-        let parse = |key: &str| -> Option<usize> {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
+        let var = |key: &str| {
+            let v = std::env::var(key).ok()?.trim().to_string();
+            (!v.is_empty()).then_some(v)
         };
-        if let Some(n) = parse("UAE_SERVE_BATCH") {
-            cfg.batch = n;
-        }
-        cfg.max_len = parse("UAE_SERVE_MAX_LEN");
-        if let Some(n) = parse("UAE_SERVE_WORKERS") {
-            cfg.workers = n;
-        }
-        if let Some(n) = parse("UAE_SERVE_QUEUE") {
-            cfg.queue_capacity = n;
-        }
-        if let Some(n) = parse("UAE_SERVE_DEADLINE_MS") {
+        let num = |key: &str| var(key)?.parse::<usize>().ok().filter(|&n| n > 0);
+        cfg.addr = var("UAE_SERVE_ADDR").unwrap_or(cfg.addr);
+        cfg.batch = num("UAE_SERVE_BATCH").unwrap_or(cfg.batch);
+        cfg.max_len = num("UAE_SERVE_MAX_LEN");
+        cfg.workers = num("UAE_SERVE_WORKERS").unwrap_or(cfg.workers);
+        cfg.queue_capacity = num("UAE_SERVE_QUEUE").unwrap_or(cfg.queue_capacity);
+        if let Some(n) = num("UAE_SERVE_DEADLINE_MS") {
             cfg.default_deadline_ms = n.min(u32::MAX as usize) as u32;
         }
-        if let Ok(v) = std::env::var("UAE_TRACE") {
-            let v = v.trim().to_ascii_lowercase();
-            cfg.trace = !matches!(v.as_str(), "0" | "false" | "off" | "no");
+        if let Some(v) = var("UAE_TRACE") {
+            cfg.trace = !matches!(
+                v.to_ascii_lowercase().as_str(),
+                "0" | "false" | "off" | "no"
+            );
         }
-        if let Some(n) = parse("UAE_FLIGHT_RECORDER_N") {
-            cfg.flight_recorder_n = n;
-        }
-        if let Some(n) = parse("UAE_METRICS_INTERVAL_MS") {
+        cfg.flight_recorder_n = num("UAE_FLIGHT_RECORDER_N").unwrap_or(cfg.flight_recorder_n);
+        if let Some(n) = num("UAE_METRICS_INTERVAL_MS") {
             cfg.metrics_interval_ms = n as u64;
         }
-        if let Ok(v) = std::env::var("UAE_FLIGHT_RECORDER_DIR") {
-            if !v.trim().is_empty() {
-                cfg.flight_dir = PathBuf::from(v.trim());
-            }
-        }
+        cfg.flight_dir = var("UAE_FLIGHT_RECORDER_DIR").map_or(cfg.flight_dir, PathBuf::from);
         cfg
     }
 }
@@ -187,6 +182,20 @@ struct Generation {
     id: u64,
     schema: FeatureSchema,
     scorer: Scorer,
+}
+
+impl Generation {
+    fn build(id: u64, frozen: FrozenModel, cfg: &DaemonConfig) -> Result<Generation, UaeError> {
+        let schema = frozen.schema.clone();
+        let scorer = Scorer::with_config(
+            frozen,
+            ScorerConfig {
+                batch_size: cfg.batch,
+                max_len: cfg.max_len,
+            },
+        )?;
+        Ok(Generation { id, schema, scorer })
+    }
 }
 
 #[derive(Default)]
@@ -215,6 +224,7 @@ struct Stats {
 /// `MetricsSnapshot` event. Value distributions (attention / propensity /
 /// weight) are recorded in milli-units so the integer buckets resolve the
 /// \[0, 1\] probability range.
+#[derive(Default)]
 struct Hists {
     request_us: AtomicHistogram,
     queue_wait_us: AtomicHistogram,
@@ -229,23 +239,8 @@ struct Hists {
 }
 
 impl Hists {
-    fn new() -> Hists {
-        Hists {
-            request_us: AtomicHistogram::new(),
-            queue_wait_us: AtomicHistogram::new(),
-            batch_assemble_us: AtomicHistogram::new(),
-            score_us: AtomicHistogram::new(),
-            reply_write_us: AtomicHistogram::new(),
-            batch_sessions: AtomicHistogram::new(),
-            queue_depth: AtomicHistogram::new(),
-            attention_milli: AtomicHistogram::new(),
-            propensity_milli: AtomicHistogram::new(),
-            weight_milli: AtomicHistogram::new(),
-        }
-    }
-
-    /// Nonempty histograms as `(name, summary)` rows, in a stable order.
-    fn summaries(&self) -> Vec<(&'static str, uae_obs::HistogramSummary)> {
+    /// Nonempty histograms as `row(name, summary)` rows, in a stable order.
+    fn rows<T>(&self, row: impl Fn(&str, &uae_obs::HistogramSummary) -> T) -> Vec<T> {
         [
             ("request_us", &self.request_us),
             ("queue_wait_us", &self.queue_wait_us),
@@ -260,35 +255,65 @@ impl Hists {
         ]
         .into_iter()
         .filter(|(_, h)| h.count() > 0)
-        .map(|(name, h)| (name, h.snapshot().summary()))
+        .map(|(name, h)| row(name, &h.snapshot().summary()))
         .collect()
-    }
-
-    fn wire(&self) -> Vec<WireHist> {
-        self.summaries()
-            .iter()
-            .map(|(name, s)| WireHist::from_summary(name, s))
-            .collect()
-    }
-
-    fn stat_rows(&self) -> Vec<HistStat> {
-        self.summaries()
-            .iter()
-            .map(|(name, s)| HistStat::from_summary(name, s))
-            .collect()
     }
 }
 
-/// Everything a connection thread needs to close a request's trace after
-/// the reply frame is on the wire.
-struct TraceCtx {
-    id: u64,
-    enqueued: Instant,
-    sessions: u64,
-    events: u64,
-    generation: u64,
-    outcome: String,
-    stages: StageTimes,
+/// Locks `m`, recovering the guard from a poisoned lock: every value these
+/// mutexes guard stays consistent even if a holder panicked.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The daemon's one wait/notify pair: the swap drain waits on it for the
+/// workers' old-generation clones, the metrics thread for its tick or
+/// shutdown. The flag marks a waiting drain, so workers notify only then.
+#[derive(Default)]
+struct Wake {
+    draining: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Wake {
+    /// Drops a worker's generation clone and wakes a waiting drain. The
+    /// drop happens under the lock, so a drain cannot miss it between
+    /// reading the refcount and going to sleep.
+    fn release<T>(&self, held: Arc<T>) {
+        let draining = lock(&self.draining);
+        drop(held);
+        if *draining {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Waits until the caller holds the only clone of `old`, or for
+    /// `budget`; past the budget it emits `swap_drain_timeout` and returns
+    /// false (in-flight batches still finish correctly on the old model).
+    fn drain<T>(&self, old: &Arc<T>, budget: Duration) -> bool {
+        let mut draining = lock(&self.draining);
+        *draining = true;
+        let (mut draining, wait) = self
+            .cv
+            .wait_timeout_while(draining, budget, |_| Arc::strong_count(old) > 1)
+            .unwrap_or_else(PoisonError::into_inner);
+        *draining = false;
+        if wait.timed_out() {
+            uae_obs::emit(|| uae_obs::Event::ServeFault {
+                fault: "swap_drain_timeout".into(),
+                action: "activated new generation with old-generation batches still in flight"
+                    .into(),
+                trace_id: None,
+            });
+        }
+        !wait.timed_out()
+    }
+
+    /// Wakes every waiter (they re-check their condition under the lock).
+    fn notify(&self) {
+        let _guard = lock(&self.draining);
+        self.cv.notify_all();
+    }
 }
 
 struct Shared {
@@ -297,6 +322,14 @@ struct Shared {
     generation: RwLock<Arc<Generation>>,
     stats: Stats,
     shutdown: AtomicBool,
+    wake: Wake,
+    /// The listen address: `begin_shutdown` connects to it once to unblock
+    /// `accept` (an unspecified address connects to the local host).
+    addr: SocketAddr,
+    /// A second handle on every live connection, keyed by accept order, so
+    /// `begin_shutdown` can end its blocked read. A connection's thread
+    /// removes its entry as it ends ([`Registered`]).
+    conns: Mutex<HashMap<u64, TcpStream>>,
     fault: FaultPlan,
     /// Serializes concurrent swap requests (drain-then-activate must not
     /// interleave).
@@ -344,13 +377,20 @@ impl Shared {
                 .iter()
                 .map(|s| s.load(Ordering::Relaxed))
                 .collect(),
-            hists: self.hists.wire(),
+            hists: self.hists.rows(WireHist::from_summary),
         }
     }
 
+    /// Stops admission and wakes every blocked daemon thread. Replies in
+    /// flight still go out: only the read half of a connection is shut.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
         self.queue.close();
+        self.wake.notify();
+        for conn in lock(&self.conns).values() {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
+        let _ = TcpStream::connect(self.addr);
     }
 
     fn fault_event(&self, fault: &str, action: String, trace_id: Option<u64>) {
@@ -371,14 +411,14 @@ impl Shared {
         self.trace_serial.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Closes a trace: records its timings into the histograms, pushes the
-    /// summary onto the flight-recorder ring, and counts it completed.
-    /// Every minted trace must pass through here exactly once — the
-    /// `traces_started == traces_completed` invariant is what lets clients
-    /// assert zero orphaned traces.
-    fn close_trace(&self, ctx: TraceCtx) {
-        let total_us = ctx.enqueued.elapsed().as_micros() as u64;
-        self.hists.request_us.record(total_us);
+    /// Closes a trace minted at `enqueued`: records its timings into the
+    /// histograms, pushes the summary onto the flight-recorder ring, and
+    /// counts it completed. Every minted trace must pass through here
+    /// exactly once — the `traces_started == traces_completed` invariant is
+    /// what lets clients assert zero orphaned traces.
+    fn close_trace(&self, mut ctx: TraceSummary, enqueued: Instant) {
+        ctx.total_us = enqueued.elapsed().as_micros() as u64;
+        self.hists.request_us.record(ctx.total_us);
         // Shed and malformed requests never reach a worker; folding their
         // all-zero stage rows into the stage histograms would drag the
         // percentiles toward zero, so only traced *scoring* work lands there.
@@ -395,26 +435,28 @@ impl Shared {
             self.stats.hist_excluded.fetch_add(1, Ordering::Relaxed);
         }
         self.stats.traces_completed.fetch_add(1, Ordering::Relaxed);
-        self.recorder.push(TraceSummary {
-            id: ctx.id,
-            sessions: ctx.sessions,
-            events: ctx.events,
-            generation: ctx.generation,
-            outcome: ctx.outcome,
-            total_us,
-            stages: ctx.stages,
-        });
+        self.recorder.push(ctx);
     }
 }
 
-/// Runs `f` with the daemon's obs handle installed on this thread (so the
-/// spawned thread joins the caller's telemetry stream), or bare if the
+/// Spawns a named daemon thread running `f` with the daemon's obs handle
+/// installed (so it joins the caller's telemetry stream), or bare if the
 /// daemon was bound without telemetry.
-fn run_with_obs<R>(obs: Option<Arc<uae_obs::Handle>>, f: impl FnOnce() -> R) -> R {
-    match obs {
-        Some(h) => uae_obs::with_handle(h, f),
-        None => f(),
-    }
+fn spawn(
+    shared: &Arc<Shared>,
+    name: String,
+    f: impl FnOnce(&Shared) + Send + 'static,
+) -> Result<JoinHandle<()>, UaeError> {
+    let sh = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name(name.clone())
+        .spawn(move || match sh.obs.clone() {
+            Some(h) => uae_obs::with_handle(h, || f(&sh)),
+            None => f(&sh),
+        })
+        .map_err(|e| UaeError::Unavailable {
+            detail: format!("spawn {name}: {e}"),
+        })
 }
 
 /// The serving daemon. [`bind`](Daemon::bind) it, then [`run`](Daemon::run)
@@ -422,7 +464,6 @@ fn run_with_obs<R>(obs: Option<Arc<uae_obs::Handle>>, f: impl FnOnce() -> R) -> 
 pub struct Daemon {
     shared: Arc<Shared>,
     listener: TcpListener,
-    local_addr: SocketAddr,
 }
 
 impl Daemon {
@@ -435,14 +476,7 @@ impl Daemon {
         cfg: DaemonConfig,
         fault: FaultPlan,
     ) -> Result<Daemon, UaeError> {
-        let schema = frozen.schema.clone();
-        let scorer = Scorer::with_config(
-            frozen,
-            ScorerConfig {
-                batch_size: cfg.batch,
-                max_len: cfg.max_len,
-            },
-        )?;
+        let generation = Generation::build(1, frozen, &cfg)?;
         let listener = TcpListener::bind(&cfg.addr).map_err(|e| UaeError::Unavailable {
             detail: format!("bind {}: {e}", cfg.addr),
         })?;
@@ -454,123 +488,120 @@ impl Daemon {
         let shard_hits = (0..cfg.workers.max(1)).map(|_| AtomicU64::new(0)).collect();
         let shared = Arc::new(Shared {
             queue,
-            generation: RwLock::new(Arc::new(Generation {
-                id: 1,
-                schema,
-                scorer,
-            })),
+            generation: RwLock::new(Arc::new(generation)),
             stats: Stats::default(),
             shutdown: AtomicBool::new(false),
+            wake: Wake::default(),
+            addr: local_addr,
+            conns: Mutex::new(HashMap::new()),
             fault,
             swap_serial: Mutex::new(()),
             obs: uae_obs::current_handle(),
             started: Instant::now(),
             trace_serial: AtomicU64::new(0),
-            hists: Hists::new(),
+            hists: Hists::default(),
             recorder,
             dump_serial: AtomicU64::new(0),
             shard_hits,
             cfg,
         });
-        Ok(Daemon {
-            shared,
-            listener,
-            local_addr,
-        })
+        Ok(Daemon { shared, listener })
     }
 
     /// The bound listen address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.addr
     }
 
     /// Serves until a `Shutdown` request arrives, then drains the queue,
     /// joins every worker, metrics, and connection thread, and returns.
     pub fn run(self) -> Result<(), UaeError> {
         let shared = self.shared;
-        let mut workers = Vec::with_capacity(shared.cfg.workers.max(1));
-        for w in 0..shared.cfg.workers.max(1) {
-            let sh = Arc::clone(&shared);
-            let obs = sh.obs.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("uae-serve-worker-{w}"))
-                    .spawn(move || run_with_obs(obs, || worker_loop(&sh)))
-                    .map_err(|e| UaeError::Unavailable {
-                        detail: format!("spawn worker: {e}"),
-                    })?,
-            );
-        }
-        let metrics = if shared.cfg.metrics_interval_ms > 0 {
-            let sh = Arc::clone(&shared);
-            let obs = sh.obs.clone();
-            Some(
-                std::thread::Builder::new()
-                    .name("uae-serve-metrics".into())
-                    .spawn(move || run_with_obs(obs, || metrics_loop(&sh)))
-                    .map_err(|e| UaeError::Unavailable {
-                        detail: format!("spawn metrics thread: {e}"),
-                    })?,
-            )
-        } else {
-            None
-        };
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| UaeError::Unavailable {
-                detail: format!("set_nonblocking: {e}"),
-            })?;
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !shared.shutdown.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    conns.retain(|h| !h.is_finished());
-                    let sh = Arc::clone(&shared);
-                    let obs = sh.obs.clone();
-                    conns.push(std::thread::spawn(move || {
-                        run_with_obs(obs, || handle_conn(&sh, stream))
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
+        let workers = (0..shared.cfg.workers.max(1))
+            .map(|w| spawn(&shared, format!("uae-serve-worker-{w}"), worker_loop))
+            .collect::<Result<Vec<_>, _>>()?;
+        let metrics = (shared.cfg.metrics_interval_ms > 0)
+            .then(|| spawn(&shared, "uae-serve-metrics".into(), metrics_loop))
+            .transpose()?;
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
+        let mut backoff = Backoff::new(Duration::from_millis(20), Duration::from_secs(1));
+        for id in 0u64.. {
+            if shared.shutdown.load(Ordering::Relaxed) {
+                break;
+            }
+            let accepted = self
+                .listener
+                .accept()
+                .and_then(|(s, _)| Ok((s.try_clone()?, s)));
+            let (handle, stream) = match accepted {
+                Ok(pair) => pair,
                 Err(e) => {
                     // Transient accept failures (EMFILE, ECONNABORTED) must
-                    // not take the daemon down; record and keep listening.
-                    shared.fault_event("accept_error", format!("kept listening: {e}"), None);
-                    std::thread::sleep(POLL_INTERVAL);
+                    // neither take the daemon down nor spin it.
+                    let delay = backoff.next_delay();
+                    let action = format!("kept listening after {delay:?} backoff: {e}");
+                    shared.fault_event("accept_error", action, None);
+                    std::thread::sleep(delay);
+                    continue;
                 }
+            };
+            backoff.reset();
+            {
+                // The flag is read under the lock `begin_shutdown` takes, so
+                // it either sees this entry or this loop sees the flag.
+                let mut live = lock(&shared.conns);
+                if shared.shutdown.load(Ordering::Relaxed) {
+                    break;
+                }
+                live.insert(id, handle);
+            }
+            conns.retain(|h| !h.is_finished());
+            let registered = Registered(Arc::clone(&shared), id);
+            let spawned = spawn(&shared, format!("uae-serve-conn-{id}"), move |sh| {
+                let _registered = registered;
+                handle_conn(sh, stream)
+            });
+            match spawned {
+                Ok(h) => conns.push(h),
+                Err(e) => shared.fault_event("accept_error", format!("dropped: {e}"), None),
             }
         }
         // Shutdown: the queue is closed; workers exit once the backlog
         // drains, and every queued job still receives its reply first.
-        for h in workers {
-            let _ = h.join();
-        }
-        if let Some(h) = metrics {
-            let _ = h.join();
-        }
-        for h in conns {
+        for h in workers.into_iter().chain(metrics).chain(conns) {
             let _ = h.join();
         }
         Ok(())
     }
 }
 
+/// Removes a connection's entry from [`Shared::conns`] when its thread
+/// ends, however it ends, so no file descriptor outlives the connection.
+struct Registered(Arc<Shared>, u64);
+
+impl Drop for Registered {
+    fn drop(&mut self) {
+        lock(&self.0.conns).remove(&self.1);
+    }
+}
+
 /// Periodic `MetricsSnapshot` emitter: one event per interval plus a final
-/// one at shutdown, so even a short-lived daemon leaves a snapshot behind.
+/// one as soon as shutdown begins, so even a short-lived daemon leaves a
+/// snapshot behind.
 fn metrics_loop(shared: &Shared) {
     let interval = Duration::from_millis(shared.cfg.metrics_interval_ms.max(1));
-    let mut next = Instant::now() + interval;
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        std::thread::sleep(POLL_INTERVAL.min(interval));
-        if Instant::now() < next {
-            continue;
-        }
-        next = Instant::now() + interval;
+    let stopping = || shared.shutdown.load(Ordering::Relaxed);
+    loop {
+        let guard = lock(&shared.wake.draining);
+        let _ = shared
+            .wake
+            .cv
+            .wait_timeout_while(guard, interval, |_| !stopping());
         emit_metrics(shared);
+        if stopping() {
+            return;
+        }
     }
-    emit_metrics(shared);
 }
 
 fn emit_metrics(shared: &Shared) {
@@ -591,7 +622,7 @@ fn emit_metrics(shared: &Shared) {
             deadline_miss: s.deadline_miss,
             traces_started: s.traces_started,
             traces_completed: s.traces_completed,
-            hists: shared.hists.stat_rows(),
+            hists: shared.hists.rows(HistStat::from_summary),
         }
     });
 }
@@ -718,30 +749,26 @@ fn score_jobs(
     let score_started = Instant::now();
     let out = gen.scorer.score(&ds, &indices);
     let score_us = score_started.elapsed().as_micros() as u64;
-    // Scatter the flat shard-ordered outputs back to request order via the
-    // inverse permutation, then split per job.
-    let mut scattered: Vec<Option<SessionScores>> = vec![None; wire_sessions.len()];
-    let mut off = 0usize;
+    // Each session's offset into the flat shard-ordered outputs; slice them
+    // back out in request order, then split per job.
+    let mut start = vec![0; wire_sessions.len()];
+    let mut off = 0;
     for &i in &order {
-        let n = wire_sessions[i].events.len();
-        scattered[i] = Some(SessionScores {
-            attention: out.attention[off..off + n].to_vec(),
-            propensity: out.propensity[off..off + n].to_vec(),
-            weights: out.weights[off..off + n].to_vec(),
-        });
-        off += n;
+        start[i] = off;
+        off += wire_sessions[i].events.len();
     }
-    let mut scattered = scattered.into_iter();
-    let mut result = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        result.push(
-            scattered
-                .by_ref()
-                .take(job.sessions.len())
-                .map(|s| s.expect("every session scored exactly once"))
-                .collect(),
-        );
-    }
+    let mut scattered = wire_sessions.iter().zip(start).map(|(ws, at)| {
+        let span = at..at + ws.events.len();
+        SessionScores {
+            attention: out.attention[span.clone()].to_vec(),
+            propensity: out.propensity[span.clone()].to_vec(),
+            weights: out.weights[span].to_vec(),
+        }
+    });
+    let result = jobs
+        .iter()
+        .map(|job| scattered.by_ref().take(job.sessions.len()).collect())
+        .collect();
     (result, assemble_us, score_us)
 }
 
@@ -768,12 +795,12 @@ fn miss(shared: &Shared, job: &Job, now: Instant, stages: StageTimes) {
 }
 
 fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p
+            .downcast_ref::<&str>()
+            .map_or("opaque panic payload", |s| s)
+            .into(),
     }
 }
 
@@ -788,14 +815,15 @@ fn worker_loop(shared: &Shared) {
         uae_obs::gauge("serve.queue_depth", shared.queue.depth() as f64);
         let now = Instant::now();
         let wait_us = |job: &Job| now.saturating_duration_since(job.enqueued).as_micros() as u64;
+        // Stage times of a job answered before it reached the scorer.
+        let queued = |job: &Job| StageTimes {
+            queue_wait_us: wait_us(job),
+            ..StageTimes::default()
+        };
         let mut live = Vec::with_capacity(jobs.len());
         for job in jobs {
             if job.expired(now) {
-                let stages = StageTimes {
-                    queue_wait_us: wait_us(&job),
-                    ..StageTimes::default()
-                };
-                miss(shared, &job, now, stages);
+                miss(shared, &job, now, queued(&job));
             } else {
                 live.push(job);
             }
@@ -834,15 +862,14 @@ fn worker_loop(shared: &Shared) {
                     }
                     let events: usize = scored.iter().map(|s| s.attention.len()).sum();
                     if shared.cfg.trace {
+                        let h = &shared.hists;
                         for s in &scored {
-                            for &v in &s.attention {
-                                shared.hists.attention_milli.record(milli(v));
-                            }
-                            for &v in &s.propensity {
-                                shared.hists.propensity_milli.record(milli(v));
-                            }
-                            for &v in &s.weights {
-                                shared.hists.weight_milli.record(milli(v));
+                            for (hist, values) in [
+                                (&h.attention_milli, &s.attention),
+                                (&h.propensity_milli, &s.propensity),
+                                (&h.weight_milli, &s.weights),
+                            ] {
+                                values.iter().for_each(|&v| hist.record(milli(v)));
                             }
                         }
                     }
@@ -858,6 +885,7 @@ fn worker_loop(shared: &Shared) {
                     uae_obs::counter("serve.daemon.requests", 1);
                     let _ = job.reply.send((Ok((gen.id, scored)), stages));
                 }
+                shared.wake.release(gen);
             }
             Err(payload) => {
                 let detail = panic_detail(payload);
@@ -878,17 +906,12 @@ fn worker_loop(shared: &Shared) {
                     None,
                 );
                 for job in &live {
-                    let stages = StageTimes {
-                        queue_wait_us: wait_us(job),
-                        ..StageTimes::default()
+                    let err = UaeError::WorkerPanic {
+                        detail: detail.clone(),
                     };
-                    let _ = job.reply.send((
-                        Err(UaeError::WorkerPanic {
-                            detail: detail.clone(),
-                        }),
-                        stages,
-                    ));
+                    let _ = job.reply.send((Err(err), queued(job)));
                 }
+                shared.wake.release(gen);
                 std::thread::sleep(delay);
             }
         }
@@ -899,19 +922,13 @@ fn worker_loop(shared: &Shared) {
 /// on any failure, otherwise activate the next generation and wait for
 /// in-flight batches to drain off the old one.
 fn handle_swap(shared: &Shared, path: &str) -> Result<u64, UaeError> {
-    let _serial = shared
-        .swap_serial
-        .lock()
-        .map_err(|_| UaeError::Unavailable {
-            detail: "swap lock poisoned".into(),
-        })?;
-    let current = shared
-        .generation
-        .read()
-        .map_err(|_| UaeError::Unavailable {
-            detail: "generation lock poisoned".into(),
-        })?
-        .clone();
+    let _serial = shared.swap_serial.lock().map_err(|_| poisoned("swap"))?;
+    let current = Arc::clone(
+        &*shared
+            .generation
+            .read()
+            .map_err(|_| poisoned("generation"))?,
+    );
     let reject = |detail: String| -> UaeError {
         shared.stats.swap_rollbacks.fetch_add(1, Ordering::Relaxed);
         uae_obs::counter("serve.daemon.swap_rollbacks", 1);
@@ -945,47 +962,22 @@ fn handle_swap(shared: &Shared, path: &str) -> Result<u64, UaeError> {
             current.schema.num_dense(),
         )));
     }
-    let schema = frozen.schema.clone();
-    let scorer = match Scorer::with_config(
-        frozen,
-        ScorerConfig {
-            batch_size: shared.cfg.batch,
-            max_len: shared.cfg.max_len,
-        },
-    ) {
-        Ok(s) => s,
+    let next = match Generation::build(current.id + 1, frozen, &shared.cfg) {
+        Ok(g) => Arc::new(g),
         Err(e) => return Err(reject(e.to_string())),
     };
-    let next = Arc::new(Generation {
-        id: current.id + 1,
-        schema,
-        scorer,
-    });
     let next_id = next.id;
     drop(current); // the clone above must not count against the drain
     let old = {
         let mut slot = shared
             .generation
             .write()
-            .map_err(|_| UaeError::Unavailable {
-                detail: "generation lock poisoned".into(),
-            })?;
+            .map_err(|_| poisoned("generation"))?;
         std::mem::replace(&mut *slot, next)
     };
     // Drain: workers hold an Arc clone per in-flight batch; once the old
     // generation's count returns to 1 every batch scored by it has replied.
-    let drain_start = Instant::now();
-    while Arc::strong_count(&old) > 1 {
-        if drain_start.elapsed() > SWAP_DRAIN_BUDGET {
-            shared.fault_event(
-                "swap_drain_timeout",
-                "activated new generation with old-generation batches still in flight".into(),
-                None,
-            );
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    shared.wake.drain(&old, SWAP_DRAIN_BUDGET);
     shared.stats.swaps.fetch_add(1, Ordering::Relaxed);
     uae_obs::counter("serve.daemon.swaps", 1);
     uae_obs::gauge("serve.swap_generation", next_id as f64);
@@ -1002,63 +994,84 @@ fn milli(v: f32) -> u64 {
     (f64::from(v).max(0.0) * 1000.0) as u64
 }
 
+fn poisoned(lock: &str) -> UaeError {
+    UaeError::Unavailable {
+        detail: format!("{lock} lock poisoned"),
+    }
+}
+
 fn protocol_error(shared: &Shared, err: &UaeError, dropped_conn: bool) {
     shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
     uae_obs::counter("serve.daemon.protocol_errors", 1);
-    let action = if dropped_conn {
-        format!("typed error reply, connection dropped (framing lost): {err}")
+    let conn = if dropped_conn {
+        "dropped (framing lost)"
     } else {
-        format!("typed error reply, connection kept: {err}")
+        "kept"
     };
+    let action = format!("typed error reply, connection {conn}: {err}");
     shared.fault_event("protocol_error", action, None);
 }
 
 /// Handles one `Score` request end to end on the connection thread:
 /// mint a trace, validate, admit (or shed), then block on the reply
 /// channel until a worker answers. Returns the reply plus the open trace
-/// context — the connection loop closes the trace after timing the
-/// reply-write stage.
+/// and the instant it was minted — the connection loop closes the trace
+/// after timing the reply-write stage.
 fn handle_score(
     shared: &Shared,
     deadline_ms: u32,
     sessions: Vec<WireSession>,
-) -> (Result<Response, UaeError>, Option<TraceCtx>) {
+) -> (Result<Response, UaeError>, Option<(TraceSummary, Instant)>) {
     let trace_id = shared.mint_trace();
-    let mut ctx = shared.cfg.trace.then(|| TraceCtx {
+    let enqueued = Instant::now();
+    let events = sessions.iter().map(|s| s.events.len() as u64).sum();
+    let n_sessions = sessions.len() as u64;
+    let mut stages = StageTimes::default();
+    let reply = admit_and_wait(shared, trace_id, deadline_ms, sessions, &mut stages);
+    let ctx = shared.cfg.trace.then(|| TraceSummary {
         id: trace_id,
-        enqueued: Instant::now(),
-        sessions: sessions.len() as u64,
-        events: sessions.iter().map(|s| s.events.len() as u64).sum(),
-        generation: 0,
-        outcome: "ok".into(),
-        stages: StageTimes::default(),
+        sessions: n_sessions,
+        events,
+        generation: match &reply {
+            Ok(Response::Scored { generation, .. }) => *generation,
+            _ => 0,
+        },
+        outcome: match &reply {
+            Ok(_) => "ok",
+            Err(UaeError::Overload { .. }) => "shed",
+            Err(UaeError::Protocol { .. }) => "protocol_error",
+            Err(UaeError::DeadlineExceeded { .. }) => "deadline_miss",
+            Err(UaeError::WorkerPanic { .. }) => "worker_panic",
+            Err(_) => "error",
+        }
+        .into(),
+        total_us: 0,
+        stages,
     });
+    (reply, ctx.map(|c| (c, enqueued)))
+}
+
+/// The body of [`handle_score`]: validate (a typed `Protocol` error),
+/// admit (a typed `Overload` shed), then wait for the worker's reply and
+/// its stage times.
+fn admit_and_wait(
+    shared: &Shared,
+    trace_id: u64,
+    deadline_ms: u32,
+    sessions: Vec<WireSession>,
+    stages: &mut StageTimes,
+) -> Result<Response, UaeError> {
     let schema = match shared.generation.read() {
         Ok(g) => g.schema.clone(),
-        Err(_) => {
-            if let Some(c) = &mut ctx {
-                c.outcome = "error".into();
-            }
-            return (
-                Err(UaeError::Unavailable {
-                    detail: "generation lock poisoned".into(),
-                }),
-                ctx,
-            );
-        }
+        Err(_) => return Err(poisoned("generation")),
     };
-    if let Err(e) = wire::validate_sessions(
+    wire::validate_sessions(
         &sessions,
         &schema,
         shared.cfg.max_sessions_per_request,
         shared.cfg.max_len,
-    ) {
-        protocol_error(shared, &e, false);
-        if let Some(c) = &mut ctx {
-            c.outcome = "protocol_error".into();
-        }
-        return (Err(e), ctx);
-    }
+    )
+    .inspect_err(|e| protocol_error(shared, e, false))?;
     let budget = if deadline_ms == 0 {
         shared.cfg.default_deadline_ms
     } else {
@@ -1081,93 +1094,51 @@ fn handle_score(
                 "request answered with typed Overload (queue at capacity)".into(),
                 (trace_id != 0).then_some(trace_id),
             );
-            if let Some(c) = &mut ctx {
-                c.outcome = "shed".into();
-            }
-        } else if let Some(c) = &mut ctx {
-            c.outcome = "error".into();
         }
-        return (Err(e), ctx);
+        return Err(e);
     }
     let depth = shared.queue.depth();
     if shared.cfg.trace {
         shared.hists.queue_depth.record(depth as u64);
     }
     uae_obs::gauge("serve.queue_depth", depth as f64);
-    match rx.recv() {
-        Ok((Ok((generation, scored)), stages)) => {
-            if let Some(c) = &mut ctx {
-                c.generation = generation;
-                c.stages = stages;
-            }
-            (
-                Ok(Response::Scored {
-                    generation,
-                    trace_id,
-                    sessions: scored,
-                }),
-                ctx,
-            )
-        }
-        Ok((Err(e), stages)) => {
-            if let Some(c) = &mut ctx {
-                c.stages = stages;
-                c.outcome = match &e {
-                    UaeError::DeadlineExceeded { .. } => "deadline_miss".into(),
-                    UaeError::WorkerPanic { .. } => "worker_panic".into(),
-                    _ => "error".into(),
-                };
-            }
-            (Err(e), ctx)
-        }
-        Err(_) => {
-            if let Some(c) = &mut ctx {
-                c.outcome = "error".into();
-            }
-            (
-                Err(UaeError::Unavailable {
-                    detail: "worker dropped the reply channel".into(),
-                }),
-                ctx,
-            )
-        }
-    }
+    let (scored, worker_stages) = rx.recv().map_err(|_| UaeError::Unavailable {
+        detail: "worker dropped the reply channel".into(),
+    })?;
+    *stages = worker_stages;
+    let (generation, sessions) = scored?;
+    Ok(Response::Scored {
+        generation,
+        trace_id,
+        sessions,
+    })
 }
 
-/// One connection: peek-poll for frames (so shutdown is noticed within one
-/// poll interval), decode, dispatch, reply. Malformed frames get a typed
-/// error; if framing itself is lost the connection is dropped after the
-/// error reply. Score requests carry an open trace across the dispatch;
-/// the trace is closed here once the reply frame is written (or the write
-/// fails), so every minted trace completes exactly once.
+/// One connection: block until a frame starts, read it, decode, dispatch,
+/// reply. Malformed frames get a typed error; if framing itself is lost
+/// the connection is dropped after the error reply. Score requests carry
+/// an open trace across the dispatch; the trace is closed here once the
+/// reply frame is written (or the write fails), so every minted trace
+/// completes exactly once.
 fn handle_conn(shared: &Shared, stream: TcpStream) {
     let mut stream = stream;
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        // Wait for the next frame without holding a blocking read, so the
-        // shutdown flag is honored on idle connections.
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
-            Ok(0) => return, // clean EOF
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-        // A frame has started arriving; give the peer a generous window to
-        // finish writing it before a stalled read counts as a violation.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-        let payload = match wire::read_frame(&mut stream) {
+    while !shared.shutdown.load(Ordering::Relaxed) {
+        // Block, with no timer, for the next frame's first bytes. A read of
+        // 0 bytes is the peer hanging up or shutdown shutting the read half.
+        let mut header = [0u8; 4];
+        let started = match stream.read(&mut header) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => n,
+        };
+        let _ = stream.set_read_timeout(Some(FRAME_STALL_BUDGET));
+        let incoming = wire::read_frame(&mut (&header[..started]).chain(&stream));
+        let _ = stream.set_read_timeout(None);
+        let payload = match incoming {
             Ok(Some(p)) => p,
             Ok(None) => return,
+            // Shutdown ended the read mid-frame: not the peer's fault.
+            Err(_) if shared.shutdown.load(Ordering::Relaxed) => return,
             Err(e) => {
                 // Mid-frame EOF / oversized length / stalled write: the
                 // stream position is untrustworthy, so answer and drop.
@@ -1176,7 +1147,6 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
                 return;
             }
         };
-        let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
         let (reply, trace) = match wire::decode_request(&payload) {
             Err(e) => {
                 // The frame boundary held; the connection can continue.
@@ -1211,12 +1181,41 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
         };
         let write_started = Instant::now();
         let wrote = wire::write_frame(&mut stream, &frame);
-        if let Some(mut ctx) = trace {
+        if let Some((mut ctx, enqueued)) = trace {
             ctx.stages.reply_write_us = write_started.elapsed().as_micros() as u64;
-            shared.close_trace(ctx);
+            shared.close_trace(ctx, enqueued);
         }
         if wrote.is_err() {
             return; // peer went away mid-reply
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn drain_wakes_on_the_last_release_and_gives_up_after_its_budget() {
+        let (wake, old) = (Wake::default(), Arc::new(()));
+        let held = Arc::clone(&old);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Release only once the drain waits, so its wake-up is tested.
+                while !*lock(&wake.draining) {
+                    std::thread::yield_now();
+                }
+                wake.release(held);
+            });
+            assert!(wake.drain(&old, Duration::from_secs(60)), "missed wake-up");
+        });
+
+        let (sink, _stuck) = (Arc::new(uae_obs::MemorySink::new()), Arc::clone(&old));
+        let started = Instant::now();
+        let budget = Duration::from_millis(10);
+        assert!(!uae_obs::with_sink(sink.clone(), || wake.drain(&old, budget)));
+        assert!(started.elapsed() >= budget);
+        assert!(sink.events().iter().any(|e| matches!(e,
+            uae_obs::Event::ServeFault { fault, .. } if fault == "swap_drain_timeout")));
     }
 }

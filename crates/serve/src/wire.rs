@@ -691,7 +691,7 @@ pub fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> Result<(), UaeErro
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF at a
 /// frame boundary (the peer hung up between requests); a declared length
 /// past [`MAX_FRAME`] or an EOF mid-frame is a typed error.
-pub fn read_frame(stream: &mut TcpStream) -> Result<Option<Vec<u8>>, UaeError> {
+pub fn read_frame(stream: &mut impl Read) -> Result<Option<Vec<u8>>, UaeError> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0usize;
     while filled < 4 {

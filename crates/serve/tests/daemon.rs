@@ -384,8 +384,17 @@ fn shutdown_answers_queued_work_before_exiting() {
                 c.score(sessions, 0).map(|_| ())
             }));
         }
-        std::thread::sleep(Duration::from_millis(50));
-        connect(addr).shutdown().expect("shutdown acknowledged");
+        // Shut down only once both are admitted: each admission records one
+        // `queue_depth` sample.
+        let mut probe = connect(addr);
+        let admitted = |s: &uae_serve::StatsSnapshot| {
+            s.hists
+                .iter()
+                .find(|h| h.name == "queue_depth")
+                .map_or(0, |h| h.count)
+        };
+        while admitted(&probe.stats().expect("stats")) < 2 {}
+        probe.shutdown().expect("shutdown acknowledged");
         joins
             .into_iter()
             .map(|j| j.join().unwrap())

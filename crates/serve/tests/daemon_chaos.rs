@@ -6,8 +6,9 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use uae_core::{Uae, UaeConfig};
 use uae_data::{generate, Dataset, SimConfig};
@@ -181,4 +182,68 @@ fn chaos_storm_never_starves_well_formed_load() {
     assert!(stats.requests >= (2 * per_client) as u64);
     assert!(stats.protocol_errors >= 1);
     shutdown(addr, handle);
+}
+
+#[test]
+fn shutdown_is_not_held_by_a_half_sent_frame() {
+    let sink = Arc::new(uae_obs::MemorySink::new());
+    let (_ds, addr, handle) = uae_obs::with_sink(sink.clone(), start_tiny_daemon);
+
+    // One idle connection and one stalled mid-frame: it promised a 1 KiB
+    // frame and sent 17 bytes of it. Each first answers a ping, so its
+    // connection thread is live before the frame starts.
+    let mut held = [
+        TcpStream::connect(addr).unwrap(),
+        TcpStream::connect(addr).unwrap(),
+    ];
+    for conn in &mut held {
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        wire::write_frame(conn, &wire::encode_request(&wire::Request::Ping)).unwrap();
+        let pong = wire::read_frame(conn).unwrap().expect("pong frame");
+        assert!(matches!(
+            wire::decode_response(&pong),
+            Ok(wire::Response::Pong)
+        ));
+    }
+    let mut partial = (1024u32).to_le_bytes().to_vec();
+    partial.extend_from_slice(&[0xAB; 17]);
+    held[1].write_all(&partial).unwrap();
+
+    let started = Instant::now();
+    connect(addr)
+        .shutdown()
+        .expect("daemon acknowledges shutdown");
+    // Join on a helper thread so a regression fails here instead of hanging.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(handle.join()));
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("run() must return after shutdown")
+        .expect("run() thread must not panic")
+        .expect("run() returns Ok");
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "shutdown took {took:?}: the held connections delayed it"
+    );
+
+    // Both held sockets were closed by the daemon, with no bytes after the
+    // pongs.
+    for conn in &mut held {
+        let mut rest = Vec::new();
+        conn.read_to_end(&mut rest).expect("EOF, not a timeout");
+        assert!(rest.is_empty(), "unexpected bytes after shutdown: {rest:?}");
+    }
+    // The read that shutdown ended is not the peer's protocol error.
+    let faults: Vec<_> = sink
+        .events()
+        .into_iter()
+        .filter(
+            |e| matches!(e, uae_obs::Event::ServeFault { fault, .. } if fault == "protocol_error"),
+        )
+        .collect();
+    assert!(
+        faults.is_empty(),
+        "shutdown counted as protocol errors: {faults:?}"
+    );
 }
