@@ -25,11 +25,6 @@ echo "==> cargo test -q --features proptest (property suites)"
 cargo test -q -p uae-tensor -p uae-data -p uae-metrics -p uae-core -p uae-obs -p uae-nn \
     --features uae-tensor/proptest,uae-data/proptest,uae-metrics/proptest,uae-core/proptest,uae-obs/proptest,uae-nn/proptest
 
-# The unfused ValueExec path must stay green and bit-identical to the tape:
-# fusion is an optimization, never a semantic switch.
-echo "==> tier-1 suite with UAE_EXEC_FUSION=off"
-UAE_EXEC_FUSION=off cargo test -q
-
 # The compute backend must be bit-identical at every thread count; run the
 # kernel-level and end-to-end determinism suites under both settings to catch
 # any env-path nondeterminism the scoped-override tests could miss.
@@ -329,7 +324,7 @@ grep -q "DCN" <<< "$rec_out"
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-echo "==> docs gate (markdown links resolve; every UAE_* env var is documented)"
+echo "==> docs gate (markdown links resolve; UAE_* env vars in code and docs/OPERATIONS.md match)"
 python3 -c "
 import os, re, sys
 
@@ -383,8 +378,13 @@ with open('docs/OPERATIONS.md') as f:
     ops = f.read()
 undocumented = sorted(v for v in used if v not in ops)
 assert not undocumented, f'env vars read in code but missing from docs/OPERATIONS.md: {undocumented}'
+
+# --- 3. Conversely, every UAE_* named in docs/OPERATIONS.md is read in code,
+# so a deleted knob cannot linger in the handbook. ---
+stale = sorted(set(re.findall(r'UAE_[A-Z0-9_]*[A-Z0-9]', ops)) - used)
+assert not stale, f'docs/OPERATIONS.md names env vars no code reads: {stale}'
 print(f'docs gate OK: {len(docs)} files link-checked, '
-      f'{len(used)} UAE_* env vars all documented in docs/OPERATIONS.md')
+      f'{len(used)} UAE_* env vars read in code, all documented in docs/OPERATIONS.md and no others')
 "
 
 echo "==> cargo clippy --workspace -- -D warnings"

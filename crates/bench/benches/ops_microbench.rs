@@ -2,6 +2,7 @@
 //! training time (Remark 2 of the paper notes GRU cost O(n·d²) dominates).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use uae_core::{Phase, PnRisk, RiskEstimator, WeightCtx};
 use uae_data::{generate, seq_batches, SimConfig};
 use uae_nn::GruCell;
 use uae_tensor::{Matrix, Params, Rng, Tape};
@@ -46,12 +47,17 @@ fn bench_uae_training_step(c: &mut Criterion) {
         bench.iter(|| {
             let mut tape = Tape::new();
             let out = net.forward(&mut tape, &params, &batch);
-            let (pos, neg) = uae_core::pn_weights(&batch);
+            let ctx = WeightCtx {
+                batch: &batch,
+                alpha_hat: None,
+                p_hat: None,
+            };
+            let w = PnRisk.weights(Phase::Attention, &ctx);
             let loss = uae_core::masked_sequence_bce(
                 &mut tape,
                 &out.logits,
-                &pos,
-                &neg,
+                &w.pos,
+                &w.neg,
                 batch.valid_steps() as f32,
                 false,
             );

@@ -2,8 +2,9 @@
 //!
 //! Measures four configurations of the `uae-tensor` backend:
 //!
-//! * `serial_baseline` — naive kernels (`UAE_KERNELS=naive`), scratch pool
-//!   disabled, one thread. This reproduces the seed's compute behaviour.
+//! * `serial_baseline` — naive kernels (`with_kernel_mode(Naive, …)`),
+//!   scratch pool disabled, one thread. This reproduces the seed's compute
+//!   behaviour.
 //! * `blocked_1t`      — blocked kernels + scratch pool, one thread.
 //! * `blocked_4t`      — blocked kernels + scratch pool, `UAE_NUM_THREADS=4`.
 //! * `blocked_1t_telemetry` — as `blocked_1t` with a live JSONL telemetry
@@ -11,8 +12,8 @@
 //!   percentage against `blocked_1t`; the null-sink path is `blocked_1t`
 //!   itself since telemetry is compiled in and disabled there).
 //!
-//! Because `UAE_NUM_THREADS` / `UAE_KERNELS` are read once per process, each
-//! configuration runs in a re-spawned child of this same binary (selected via
+//! Because `UAE_NUM_THREADS` is read once per process, each configuration
+//! runs in a re-spawned child of this same binary (selected via
 //! `UAE_BENCH_CHILD`) so the env-driven code path — including the per-op
 //! work-size heuristic — is exactly what production training sees. The parent
 //! aggregates the children's measurements into a committed `BENCH_perf.json`
@@ -29,7 +30,8 @@ use uae_core::{AttentionEstimator, Uae, UaeConfig};
 use uae_data::{generate, SimConfig};
 use uae_nn::GruCell;
 use uae_tensor::{
-    reset_scratch_stats, scratch_stats, with_pool_disabled, Matrix, Params, Rng, Tape,
+    reset_scratch_stats, scratch_stats, with_kernel_mode, with_pool_disabled, KernelMode, Matrix,
+    Params, Rng, Tape,
 };
 
 fn smoke() -> bool {
@@ -122,7 +124,7 @@ fn alloc_count(batch: usize, dim: usize, t: usize) -> u64 {
 }
 
 fn run_child(config: &str) {
-    let pool_off = config == "serial_baseline";
+    let baseline = config == "serial_baseline";
     if config.ends_with("_telemetry") {
         let path = std::env::temp_dir().join(format!("uae_perf_{}.jsonl", std::process::id()));
         let manifest = uae_obs::Manifest {
@@ -156,27 +158,27 @@ fn run_child(config: &str) {
         let stats = scratch_stats();
         println!("RESULT scratch_hit_rate {:.4}", stats.hit_rate());
     };
-    if pool_off {
-        with_pool_disabled(run);
+    if baseline {
+        with_kernel_mode(KernelMode::Naive, || with_pool_disabled(run));
     } else {
         run();
     }
     uae_obs::flush();
 }
 
-/// (config name, UAE_KERNELS, UAE_NUM_THREADS)
-const CONFIGS: &[(&str, &str, &str)] = &[
-    ("serial_baseline", "naive", "1"),
-    ("blocked_1t", "blocked", "1"),
-    ("blocked_4t", "blocked", "4"),
-    ("blocked_1t_telemetry", "blocked", "1"),
+/// (config name, UAE_NUM_THREADS); `serial_baseline` also runs the naive
+/// kernels with the scratch pool off.
+const CONFIGS: &[(&str, &str)] = &[
+    ("serial_baseline", "1"),
+    ("blocked_1t", "1"),
+    ("blocked_4t", "4"),
+    ("blocked_1t_telemetry", "1"),
 ];
 
-fn spawn_child(config: &str, kernels: &str, threads: &str) -> Vec<(String, f64)> {
+fn spawn_child(config: &str, threads: &str) -> Vec<(String, f64)> {
     let exe = std::env::current_exe().expect("current_exe");
     let out = Command::new(exe)
         .env("UAE_BENCH_CHILD", config)
-        .env("UAE_KERNELS", kernels)
         .env("UAE_NUM_THREADS", threads)
         .output()
         .expect("spawn bench child");
@@ -221,9 +223,9 @@ fn main() {
 
     let mut sections = Vec::new();
     let mut results = Vec::new();
-    for &(config, kernels, threads) in CONFIGS {
-        eprintln!("  running {config} (kernels={kernels}, threads={threads})...");
-        let rows = spawn_child(config, kernels, threads);
+    for &(config, threads) in CONFIGS {
+        eprintln!("  running {config} (threads={threads})...");
+        let rows = spawn_child(config, threads);
         assert!(!rows.is_empty(), "bench child {config} produced no results");
         let body = rows
             .iter()

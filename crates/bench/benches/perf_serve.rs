@@ -26,7 +26,7 @@
 //! `rec_serve_batched`).
 //!
 //! Everything runs in this one process under the default backend env
-//! (`UAE_NUM_THREADS` / `UAE_KERNELS` apply to every config equally), and
+//! (`UAE_NUM_THREADS` applies to every config equally), and
 //! every config follows the same measurement protocol over the same session
 //! stream: one untimed warm-up call (scratch pool, arena chunks, page
 //! faults), then the median of `reps` timed calls. Serve configs snapshot

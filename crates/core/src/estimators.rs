@@ -1,10 +1,12 @@
 //! The `RiskEstimator` trait: one interface for every debiasing scheme.
 //!
-//! Every risk in the paper and in the related debiasing literature reduces
-//! to per-step positive/negative weight grids over a padded session batch
-//! (see [`crate::risks`]). This module is the single place that weight math
-//! lives; [`crate::risks`]'s free functions and [`crate::uae::Uae`]'s
-//! alternating optimization both delegate here.
+//! Every risk in §III–§IV of the paper and in the related debiasing
+//! literature reduces to
+//! `Σ_t Σ_i [pos_w[t][i]·ℓ⁺(z_t,i) + neg_w[t][i]·ℓ⁻(z_t,i)] / |S|`:
+//! per-step positive/negative [`WeightGrid`]s over a padded session batch,
+//! with masked (padded) entries carrying zero weight, summed by
+//! [`masked_sequence_bce`]. This module is the single place that weight
+//! math lives; [`crate::uae::Uae`]'s alternating optimization calls it.
 //!
 //! | Estimator | attention-phase weights | propensity phase |
 //! |---|---|---|
@@ -22,9 +24,37 @@
 //! the propensity phase's sweep budget as extra attention sweeps.
 
 use uae_data::{Dataset, SeqBatch};
+use uae_tensor::{Tape, Var};
 
-use crate::risks::WeightGrid;
 use crate::uae::UaeConfig;
+
+/// A `[t][i]` grid of per-step weights.
+pub type WeightGrid = Vec<Vec<f32>>;
+
+/// Assembles the masked weighted-BCE loss over a sequence batch: one fused
+/// BCE per step (scalar), summed on the tape. `divisor` is typically the
+/// number of valid steps (`|S|` restricted to the batch).
+pub fn masked_sequence_bce(
+    tape: &mut Tape,
+    logits: &[Var],
+    pos_w: &WeightGrid,
+    neg_w: &WeightGrid,
+    divisor: f32,
+    clamp_nonneg: bool,
+) -> Var {
+    assert_eq!(logits.len(), pos_w.len());
+    assert_eq!(logits.len(), neg_w.len());
+    assert!(!logits.is_empty(), "empty sequence loss");
+    let mut total: Option<Var> = None;
+    for (t, &z) in logits.iter().enumerate() {
+        let l = tape.weighted_bce(z, &pos_w[t], &neg_w[t], divisor, clamp_nonneg);
+        total = Some(match total {
+            Some(acc) => tape.add(acc, l),
+            None => l,
+        });
+    }
+    total.expect("at least one step")
+}
 
 /// Which half of the alternating optimization (Algorithm 1) a weight grid
 /// is being produced for.
@@ -133,18 +163,6 @@ pub struct WeightCtx<'a> {
     pub p_hat: Option<&'a WeightGrid>,
 }
 
-impl<'a> WeightCtx<'a> {
-    /// A context with no model estimates — enough for the estimators whose
-    /// [`PhaseInputs`] are empty (PN, NDB, ideal, oracle, rel-MF).
-    pub fn bare(batch: &'a SeqBatch) -> Self {
-        WeightCtx {
-            batch,
-            alpha_hat: None,
-            p_hat: None,
-        }
-    }
-}
-
 /// Weight grids for one batch plus the clip tally accrued building them.
 pub struct WeightBuild {
     pub pos: WeightGrid,
@@ -159,12 +177,6 @@ impl WeightBuild {
             neg,
             clip: ClipCounts::default(),
         }
-    }
-
-    /// Drops the tally, keeping `(pos, neg)` — the shape of the historical
-    /// free functions in [`crate::risks`].
-    pub fn into_grids(self) -> (WeightGrid, WeightGrid) {
-        (self.pos, self.neg)
     }
 }
 
@@ -221,8 +233,7 @@ fn zero_grid(batch: &SeqBatch) -> WeightGrid {
 /// The one implementation of clipped inverse weighting: `pos = e/denom⁺`,
 /// `neg = 1 − e/denom⁺` with `denom⁺ = clip.clamp(denom[t][i])`. Every
 /// inverse-propensity estimator (UAE both phases, the oracle, ADPU's
-/// propensity phase, and the historical `risks::uae_*_weights` functions)
-/// delegates here.
+/// propensity phase) delegates here.
 pub fn clipped_inverse_weights(
     batch: &SeqBatch,
     denom: &WeightGrid,
@@ -868,6 +879,109 @@ mod tests {
         let sessions: Vec<usize> = (0..6).collect();
         let mut rng = Rng::seed_from_u64(1);
         seq_batches(ds, &sessions, 6, 15, &mut rng).remove(0)
+    }
+
+    fn bare(b: &SeqBatch) -> WeightCtx<'_> {
+        WeightCtx {
+            batch: b,
+            alpha_hat: None,
+            p_hat: None,
+        }
+    }
+
+    #[test]
+    fn pn_risk_partitions_valid_steps() {
+        let b = batch(&dataset());
+        let wb = PnRisk.weights(Phase::Attention, &bare(&b));
+        for t in 0..b.steps {
+            for i in 0..b.batch {
+                if b.mask[t][i] > 0.0 {
+                    assert_eq!(wb.pos[t][i] + wb.neg[t][i], 1.0);
+                    assert_eq!(wb.pos[t][i], b.e[t][i]);
+                } else {
+                    assert_eq!(wb.pos[t][i] + wb.neg[t][i], 0.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ndb_risk_negatives_require_long_passive_runs() {
+        let b = batch(&dataset());
+        let wb = NdbRisk { window: 10 }.weights(Phase::Attention, &bare(&b));
+        for i in 0..b.batch {
+            let mut run = 0usize;
+            for t in 0..b.steps {
+                if b.mask[t][i] == 0.0 {
+                    continue;
+                }
+                if b.e[t][i] > 0.0 {
+                    assert_eq!((wb.pos[t][i], wb.neg[t][i]), (1.0, 0.0));
+                    run = 0;
+                } else {
+                    assert_eq!(wb.pos[t][i], 0.0);
+                    let neg = if run >= 10 { 1.0 } else { 0.0 };
+                    assert_eq!(wb.neg[t][i], neg, "t={t} i={i}");
+                    run += 1;
+                }
+            }
+        }
+        // With window 0 NDB degenerates to PN.
+        let ndb0 = NdbRisk { window: 0 }.weights(Phase::Attention, &bare(&b));
+        let pn = PnRisk.weights(Phase::Attention, &bare(&b));
+        assert_eq!(ndb0.pos, pn.pos);
+        assert_eq!(ndb0.neg, pn.neg);
+    }
+
+    #[test]
+    fn ideal_risk_uses_true_alpha() {
+        let b = batch(&dataset());
+        let wb = IdealRisk.weights(Phase::Attention, &bare(&b));
+        for t in 0..b.steps {
+            for i in 0..b.batch {
+                if b.mask[t][i] > 0.0 {
+                    assert_eq!(wb.pos[t][i], b.true_alpha[t][i]);
+                    assert!((wb.pos[t][i] + wb.neg[t][i] - 1.0).abs() < 1e-6);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clipping_bounds_inverse_weights() {
+        let b = batch(&dataset());
+        let p_hat: WeightGrid = vec![vec![1e-6; b.batch]; b.steps];
+        let est = UaeDualRisk::new(ClipPolicy::new(0.1), ClipPolicy::new(0.1));
+        let ctx = WeightCtx {
+            p_hat: Some(&p_hat),
+            ..bare(&b)
+        };
+        let wb = est.weights(Phase::Attention, &ctx);
+        assert!(wb.pos.iter().flatten().all(|&w| w <= 10.0 + 1e-5));
+        assert!(wb.clip.clipped > 0);
+    }
+
+    #[test]
+    fn masked_sequence_bce_ignores_padding() {
+        // A batch with weights only on valid steps must be insensitive to the
+        // logit values at padded slots.
+        let b = batch(&dataset());
+        let wb = PnRisk.weights(Phase::Attention, &bare(&b));
+        let build = |pad_value: f32| {
+            let mut tape = Tape::new();
+            let logits: Vec<Var> = (0..b.steps)
+                .map(|t| {
+                    let vals: Vec<f32> = (0..b.batch)
+                        .map(|i| if b.mask[t][i] > 0.0 { 0.3 } else { pad_value })
+                        .collect();
+                    tape.input(uae_tensor::Matrix::col_vector(&vals))
+                })
+                .collect();
+            let divisor = b.valid_steps() as f32;
+            let loss = masked_sequence_bce(&mut tape, &logits, &wb.pos, &wb.neg, divisor, false);
+            tape.value(loss).item()
+        };
+        assert!((build(0.0) - build(100.0)).abs() < 1e-6);
     }
 
     #[test]

@@ -10,9 +10,10 @@ use uae_runtime::UaeError;
 use uae_tensor::{sigmoid, Exec, Matrix, Params, Rng, Tape, ValueExec, Var};
 
 use crate::estimator::{AttentionEstimator, FitReport};
-use crate::estimators::{ClipCounts, EstimatorSpec, Phase, RiskEstimator, WeightCtx};
+use crate::estimators::{
+    masked_sequence_bce, ClipCounts, EstimatorSpec, Phase, RiskEstimator, WeightCtx, WeightGrid,
+};
 use crate::networks::{AttentionNet, LocalPropensityNet, PropensityNet};
-use crate::risks::{masked_sequence_bce, WeightGrid};
 
 /// Hyper-parameters of UAE (defaults follow §VI-A scaled to the simulator:
 /// embedding 8, Adam, `N_a = 1`, `N_p = 2`, risk clipping on).
@@ -871,6 +872,73 @@ mod tests {
             seed,
             ..Default::default()
         }
+    }
+
+    /// One-epoch config training `spec` in place of the dual risks.
+    fn spec_cfg(seed: u64, estimator: EstimatorSpec) -> UaeConfig {
+        UaeConfig {
+            epochs: 1,
+            estimator,
+            ..fast_cfg(seed)
+        }
+    }
+
+    fn mean(v: &[f32]) -> f64 {
+        v.iter().map(|&p| p as f64).sum::<f64>() / v.len() as f64
+    }
+
+    #[test]
+    fn pn_underestimates_attention_severely() {
+        // PN fits Pr(e=1) ≈ 0.09, not Pr(a=1) ≈ 0.5: its mean estimate must
+        // sit far below the true attention rate (the bias the paper proves).
+        let ds = generate(&SimConfig::product(0.2), 31);
+        let sessions: Vec<usize> = (0..ds.sessions.len()).collect();
+        let mut pn = Uae::new(&ds.schema, spec_cfg(1, EstimatorSpec::Pn));
+        pn.fit(&ds, &sessions);
+        let mean_pred = mean(&pn.predict(&ds, &sessions));
+        let flat = FlatData::from_sessions(&ds, &sessions);
+        let true_rate =
+            flat.true_attention.iter().filter(|&&a| a).count() as f64 / flat.len() as f64;
+        assert!(
+            mean_pred < true_rate * 0.7,
+            "PN mean α̂ = {mean_pred:.3}, true attention rate = {true_rate:.3}"
+        );
+    }
+
+    #[test]
+    fn ndb_estimates_sit_above_pn() {
+        let ds = generate(&SimConfig::product(0.2), 32);
+        let sessions: Vec<usize> = (0..ds.sessions.len()).collect();
+        let mut pn = Uae::new(&ds.schema, spec_cfg(2, EstimatorSpec::Pn));
+        pn.fit(&ds, &sessions);
+        let ndb_spec = EstimatorSpec::Ndb { window: 10 };
+        let mut ndb = Uae::new(&ds.schema, spec_cfg(2, ndb_spec));
+        assert_eq!(ndb.name(), "NDB");
+        ndb.fit(&ds, &sessions);
+        let pn_mean = mean(&pn.predict(&ds, &sessions));
+        let ndb_mean = mean(&ndb.predict(&ds, &sessions));
+        // NDB discards most passive "negatives", so its estimates are larger
+        // than PN's (less pessimistic), though still biased.
+        assert!(
+            ndb_mean > pn_mean + 0.02,
+            "NDB mean {ndb_mean:.3} vs PN mean {pn_mean:.3}"
+        );
+    }
+
+    #[test]
+    fn single_network_spec_has_no_propensity_head() {
+        // A single-network risk reports its own name and trains without `h`:
+        // predict_propensity is the uninformative 0.5 prior.
+        let ds = generate(&SimConfig::tiny(), 33);
+        let sessions: Vec<usize> = (0..ds.sessions.len()).collect();
+        let mut pn = Uae::new(&ds.schema, spec_cfg(3, EstimatorSpec::Pn));
+        assert_eq!(pn.name(), "PN");
+        let report = pn.fit(&ds, &sessions);
+        assert_eq!(report.attention_loss.len(), 1);
+        assert!(pn
+            .predict_propensity(&ds, &sessions)
+            .iter()
+            .all(|&p| p == 0.5));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use uae_core::WeightGrid;
-use uae_core::{EstimatorSpec, Phase, RiskEstimator, UaeConfig, WeightCtx};
+use uae_core::{EstimatorSpec, Phase, UaeConfig, WeightCtx};
 use uae_data::{generate, seq_batches, SeqBatch, SimConfig};
 use uae_tensor::Rng;
 
@@ -54,8 +54,7 @@ fn grids_for(
         };
         let bound = est.clip(phase).map(|c| 1.0 / c.lower());
         let build = est.weights(phase, &ctx);
-        let (pos, neg) = build.into_grids();
-        out.push((phase, pos, neg, bound));
+        out.push((phase, build.pos, build.neg, bound));
     }
     out
 }

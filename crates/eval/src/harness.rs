@@ -1,9 +1,7 @@
 //! Shared experiment plumbing: datasets, splits, attention methods, and
 //! single training runs.
 
-use uae_core::{
-    downstream_weights, AttentionEstimator, BiasedAttentionBaseline, Edm, Uae, UaeConfig,
-};
+use uae_core::{downstream_weights, AttentionEstimator, Edm, EstimatorSpec, Uae, UaeConfig};
 use uae_data::{generate, split_by_day, split_by_ratio, Dataset, FlatData, SimConfig, Split};
 use uae_models::{
     evaluate, train, EvalResult, LabelMode, ModelConfig, ModelKind, TrainConfig, TrainReport,
@@ -217,7 +215,11 @@ impl AttentionMethod {
                 Some(vec![0.0; data.train.len()])
             }
             AttentionMethod::Ndb => {
-                let mut est = BiasedAttentionBaseline::ndb(&data.dataset.schema, uae_cfg, 10);
+                let ndb = UaeConfig {
+                    estimator: EstimatorSpec::Ndb { window: 10 },
+                    ..uae_cfg
+                };
+                let mut est = Uae::new(&data.dataset.schema, ndb);
                 est.fit(&data.dataset, sessions);
                 Some(est.predict(&data.dataset, sessions))
             }

@@ -67,8 +67,8 @@
 //! `UAE_SERVE_DEADLINE_MS` plus the `UAE_FAULT_*` chaos knobs, and the
 //! observability layer adds `UAE_TRACE` / `UAE_FLIGHT_RECORDER_N` /
 //! `UAE_METRICS_INTERVAL_MS` / `UAE_FLIGHT_RECORDER_DIR` (see
-//! [`daemon`]). Thread count and kernel selection come from the compute
-//! backend (`UAE_NUM_THREADS`, `UAE_KERNELS`).
+//! [`daemon`]). The thread count comes from the compute backend
+//! (`UAE_NUM_THREADS`).
 
 pub mod client;
 pub mod daemon;

@@ -27,13 +27,12 @@
 //!   [`ArenaStats::retires`] / `heap_allocs` counter, never as corrupted
 //!   scores.
 //!
-//! `UAE_EXEC_ARENA=off` disables the arena process-wide (every allocation
-//! falls back to the scratch pool); [`with_arena`] pins it per-thread for
-//! tests and benches.
+//! Outside a scope (training, and anything else that does not enter one)
+//! `Matrix` storage comes from the scratch pool.
 
-use std::cell::{Cell, RefCell, UnsafeCell};
+use std::cell::{RefCell, UnsafeCell};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Default chunk size: 1 MiB of `f32`. Oversized requests get a dedicated
 /// chunk of exactly their (rounded) size.
@@ -183,46 +182,12 @@ impl ArenaState {
 
 thread_local! {
     static ARENA: RefCell<ArenaState> = RefCell::new(ArenaState::default());
-    static ARENA_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        !matches!(
-            std::env::var("UAE_EXEC_ARENA").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    })
-}
-
-/// Whether [`scoped`] activates the arena: the per-thread override if set
-/// (see [`with_arena`]), else `UAE_EXEC_ARENA` (default on).
-pub fn arena_enabled() -> bool {
-    ARENA_OVERRIDE.with(Cell::get).unwrap_or_else(env_enabled)
-}
-
-/// Runs `f` with the arena force-enabled or force-disabled on this thread
-/// (scoped, panic-safe) — for tests and benches.
-pub fn with_arena<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            ARENA_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _guard = Restore(ARENA_OVERRIDE.with(|c| c.replace(Some(enabled))));
-    f()
 }
 
 /// Runs `f` with bump allocation active on this thread. The outermost entry
 /// rewinds the arena (see the module docs for the reset/retire rules);
-/// nested entries are transparent. When the arena is disabled this is a
-/// plain call.
+/// nested entries are transparent.
 pub fn scoped<R>(f: impl FnOnce() -> R) -> R {
-    if !arena_enabled() {
-        return f();
-    }
     struct Guard;
     impl Drop for Guard {
         fn drop(&mut self) {
@@ -241,27 +206,6 @@ pub fn scoped<R>(f: impl FnOnce() -> R) -> R {
         a.depth += 1;
     });
     let _guard = Guard;
-    f()
-}
-
-/// Runs `f` with bump allocation suspended (allocations fall back to the
-/// scratch pool) even inside a [`scoped`] region — for values that must
-/// outlive the batch.
-pub fn suspended<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let _ = ARENA.try_with(|a| {
-                if let Ok(mut a) = a.try_borrow_mut() {
-                    a.depth = self.0;
-                }
-            });
-        }
-    }
-    let _guard = Restore(ARENA.with(|a| {
-        let mut a = a.borrow_mut();
-        std::mem::take(&mut a.depth)
-    }));
     f()
 }
 
@@ -410,24 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn suspended_falls_back_to_heap() {
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                reset_arena_stats();
-                scoped(|| {
-                    let before = arena_stats().allocs;
-                    let m = suspended(|| Matrix::zeros(8, 8));
-                    assert_eq!(arena_stats().allocs, before, "suspended: no bump");
-                    drop(m);
-                    let n = Matrix::zeros(8, 8);
-                    assert_eq!(arena_stats().allocs, before + 1);
-                    drop(n);
-                });
-            });
-        });
-    }
-
-    #[test]
     fn oversize_requests_get_dedicated_chunks() {
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -446,15 +372,12 @@ mod tests {
     }
 
     #[test]
-    fn with_arena_override_is_scoped() {
+    fn bump_allocation_happens_only_inside_a_scope() {
         std::thread::scope(|s| {
             s.spawn(|| {
-                with_arena(false, || {
-                    scoped(|| assert!(alloc(8).is_none()));
-                });
-                with_arena(true, || {
-                    scoped(|| assert!(alloc(8).is_some()));
-                });
+                assert!(alloc(8).is_none());
+                scoped(|| assert!(alloc(8).is_some()));
+                assert!(alloc(8).is_none());
             });
         });
     }

@@ -7,7 +7,8 @@
 //! 1. **Cache-blocked kernels** (`matmul`, `matmul_tn`, `matmul_nt`, and the
 //!    bias-fused `matmul_bias`) with tight, bounds-check-free inner loops the
 //!    compiler can vectorize. A `Naive` kernel mode reproduces the seed's
-//!    simple triple loops for verification and benchmarking baselines.
+//!    simple triple loops; tests and the `perf_backend` baseline select it
+//!    with [`with_kernel_mode`] as their oracle.
 //! 2. **A scoped-thread worker pool** (`std::thread::scope`, dependency-free)
 //!    that row-partitions work. Row partitioning never splits the f32
 //!    accumulation of a single output element, so results are **bit-identical
@@ -38,6 +39,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
+use std::thread::LocalKey;
 
 // --------------------------------------------------------------------- config
 
@@ -46,13 +48,14 @@ use std::sync::OnceLock;
 pub enum KernelMode {
     /// Cache-blocked, unrolled kernels (default).
     Blocked,
-    /// The seed's reference triple loops (for verification / baselines).
+    /// The seed's reference triple loops: the test oracle, selected only
+    /// through [`with_kernel_mode`].
     Naive,
 }
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    static MODE_OVERRIDE: Cell<Option<KernelMode>> = const { Cell::new(None) };
+    static MODE: Cell<KernelMode> = const { Cell::new(KernelMode::Blocked) };
     static POOL_DISABLED: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -68,14 +71,6 @@ fn env_threads() -> usize {
                     .map(|n| n.get())
                     .unwrap_or(1)
             })
-    })
-}
-
-fn env_mode() -> KernelMode {
-    static ENV: OnceLock<KernelMode> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("UAE_KERNELS").as_deref() {
-        Ok("naive") => KernelMode::Naive,
-        _ => KernelMode::Blocked,
     })
 }
 
@@ -98,43 +93,40 @@ fn threads_forced() -> bool {
 /// Runs `f` with the worker count pinned to `n` on this thread (scoped;
 /// restores the previous override afterwards, panic-safe).
 pub fn with_num_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THREAD_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _guard = Restore(THREAD_OVERRIDE.with(|c| c.replace(Some(n.max(1)))));
-    f()
+    with_cell(&THREAD_OVERRIDE, Some(n.max(1)), f)
 }
 
-/// The active kernel mode (per-thread override, else `UAE_KERNELS=naive`).
+/// The active kernel mode: the [`with_kernel_mode`] override on this thread,
+/// else [`KernelMode::Blocked`].
 pub fn kernel_mode() -> KernelMode {
-    MODE_OVERRIDE.with(Cell::get).unwrap_or_else(env_mode)
+    MODE.with(Cell::get)
 }
 
 /// Runs `f` with the kernel mode pinned on this thread (scoped, panic-safe).
 pub fn with_kernel_mode<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<KernelMode>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MODE_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _guard = Restore(MODE_OVERRIDE.with(|c| c.replace(Some(mode))));
-    f()
+    with_cell(&MODE, mode, f)
 }
 
 /// Runs `f` with the scratch pool disabled on this thread (every allocation
 /// goes to the system allocator) — for benchmarking the pool's effect.
 pub fn with_pool_disabled<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
+    with_cell(&POOL_DISABLED, true, f)
+}
+
+/// Sets the thread-local `key` to `value` while `f` runs, restoring the
+/// previous value afterwards (also when `f` panics).
+pub(crate) fn with_cell<T: Copy + 'static, R>(
+    key: &'static LocalKey<Cell<T>>,
+    value: T,
+    f: impl FnOnce() -> R,
+) -> R {
+    struct Restore<T: Copy + 'static>(&'static LocalKey<Cell<T>>, T);
+    impl<T: Copy + 'static> Drop for Restore<T> {
         fn drop(&mut self) {
-            POOL_DISABLED.with(|c| c.set(self.0));
+            self.0.with(|c| c.set(self.1));
         }
     }
-    let _guard = Restore(POOL_DISABLED.with(|c| c.replace(true)));
+    let _guard = Restore(key, key.with(|c| c.replace(value)));
     f()
 }
 

@@ -32,10 +32,11 @@
 //! overrides them with single-pass fused kernels whose per-element arithmetic
 //! replays the unfused op sequence exactly — fused and unfused outputs are
 //! bit-identical, which `tests/exec_equivalence.rs` pins at 1 and 4 threads.
-//! `UAE_EXEC_FUSION=off` (or [`with_fusion`]) disables fusion for debugging.
+//! Fusion is always on in production; [`with_fusion`] turns it off for one
+//! scope so the equivalence tests can run the unfused expansions as their
+//! oracle.
 
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 use crate::matrix::Matrix;
 use crate::params::{ParamId, Params};
@@ -307,38 +308,16 @@ pub(crate) mod kernels {
 
 // ----------------------------------------------------------- fusion config
 
-fn env_fusion() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        !matches!(
-            std::env::var("UAE_EXEC_FUSION").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    })
-}
-
 thread_local! {
-    static FUSION_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
+    static FUSION: Cell<bool> = const { Cell::new(true) };
     static PARAM_MATERIALIZATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Whether [`ValueExec::new`] builds a fusing engine: the per-thread override
-/// if set (see [`with_fusion`]), else `UAE_EXEC_FUSION` (default on).
-pub fn fusion_enabled() -> bool {
-    FUSION_OVERRIDE.with(Cell::get).unwrap_or_else(env_fusion)
-}
-
-/// Runs `f` with fusion force-enabled or force-disabled on this thread
-/// (scoped, panic-safe) — for equivalence tests and benches.
+/// Runs `f` with fusion force-enabled or force-disabled for every
+/// [`ValueExec::new`] on this thread (scoped, panic-safe). A test-only
+/// selector: outside it, fusion is on.
 pub fn with_fusion<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FUSION_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _guard = Restore(FUSION_OVERRIDE.with(|c| c.replace(Some(on))));
-    f()
+    crate::backend::with_cell(&FUSION, on, f)
 }
 
 /// Inference-engine counters for the calling thread.
@@ -709,8 +688,8 @@ impl Exec for Tape {
 /// same kernels the tape uses, with no node allocation and no gradient state.
 /// Bit-identical to the tape forward by construction.
 ///
-/// The only state is the fusion flag, snapshotted from
-/// [`fusion_enabled`] at construction: when set, the fusable composites
+/// The only state is the fusion flag, snapshotted at construction (on
+/// unless a test scopes [`with_fusion`]): when set, the fusable composites
 /// ([`Exec::linear_act`], [`Exec::softmax_rows_scaled`],
 /// [`Exec::pack_gru`]/[`Exec::gru_step_packed`]) run single-pass fused
 /// kernels that are bit-identical to their unfused expansions.
@@ -720,17 +699,12 @@ pub struct ValueExec {
 }
 
 impl ValueExec {
-    /// An engine honouring the ambient fusion config (`UAE_EXEC_FUSION` /
-    /// [`with_fusion`]).
+    /// A fusing engine, unless a [`with_fusion`] scope on this thread says
+    /// otherwise.
     pub fn new() -> Self {
         ValueExec {
-            fused: fusion_enabled(),
+            fused: FUSION.with(Cell::get),
         }
-    }
-
-    /// An engine with fusion pinned, independent of the environment.
-    pub fn with_fusion(fused: bool) -> Self {
-        ValueExec { fused }
     }
 }
 
@@ -997,7 +971,7 @@ mod tests {
         let mut tape = Tape::new();
         let tape_out = run_all_ops(&mut tape, &params, &ids);
         for fused in [false, true] {
-            let mut vx = ValueExec::with_fusion(fused);
+            let mut vx = with_fusion(fused, ValueExec::new);
             let value_out = run_all_ops(&mut vx, &params, &ids);
             assert_eq!(tape_out.len(), value_out.len());
             for (i, (t, v)) in tape_out.iter().zip(&value_out).enumerate() {
@@ -1035,8 +1009,8 @@ mod tests {
                 ActKind::Tanh,
                 ActKind::Sigmoid,
             ] {
-                let fused = ValueExec::with_fusion(true).linear_act(&x, &w, &b, act);
-                let unfused = ValueExec::with_fusion(false).linear_act(&x, &w, &b, act);
+                let fused = with_fusion(true, ValueExec::new).linear_act(&x, &w, &b, act);
+                let unfused = with_fusion(false, ValueExec::new).linear_act(&x, &w, &b, act);
                 assert_eq!(fused.data(), unfused.data(), "k={k} n={n} {act:?}");
             }
         }
@@ -1048,15 +1022,15 @@ mod tests {
         for cols in [1, 7, 17] {
             let x = Matrix::randn(5, cols, 2.0, &mut rng);
             for s in [0.25, 1.0, -0.6] {
-                let fused = ValueExec::with_fusion(true).softmax_rows_scaled(&x, s);
-                let unfused = ValueExec::with_fusion(false).softmax_rows_scaled(&x, s);
+                let fused = with_fusion(true, ValueExec::new).softmax_rows_scaled(&x, s);
+                let unfused = with_fusion(false, ValueExec::new).softmax_rows_scaled(&x, s);
                 assert_eq!(fused.data(), unfused.data(), "cols={cols} s={s}");
             }
         }
         // All-zero rows hit the ±0.0 corner of the fused max pass.
         let zeros = Matrix::zeros(2, 4);
-        let fused = ValueExec::with_fusion(true).softmax_rows_scaled(&zeros, 3.0);
-        let unfused = ValueExec::with_fusion(false).softmax_rows_scaled(&zeros, 3.0);
+        let fused = with_fusion(true, ValueExec::new).softmax_rows_scaled(&zeros, 3.0);
+        let unfused = with_fusion(false, ValueExec::new).softmax_rows_scaled(&zeros, 3.0);
         assert_eq!(fused.data(), unfused.data());
     }
 
@@ -1089,7 +1063,7 @@ mod tests {
                 u_n: &gates[7],
                 b_n: &gates[8],
             };
-            let mut fused_vx = ValueExec::with_fusion(true);
+            let mut fused_vx = with_fusion(true, ValueExec::new);
             let packed = fused_vx.pack_gru(g).expect("fused engine packs");
             for m in [None, Some(&mask)] {
                 let fused = fused_vx.gru_step_packed(&packed, &x, &h, m);
@@ -1172,7 +1146,7 @@ mod tests {
                     }
                 }
                 let reference =
-                    NoFuse(ValueExec::with_fusion(false)).gru_step_packed(&packed, &x, &h, m);
+                    NoFuse(with_fusion(false, ValueExec::new)).gru_step_packed(&packed, &x, &h, m);
                 assert_eq!(
                     fused.data(),
                     reference.data(),

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example attention_estimation`
 
-use uae::core::{AttentionEstimator, BiasedAttentionBaseline, Edm, Uae, UaeConfig};
+use uae::core::{AttentionEstimator, Edm, EstimatorSpec, Uae, UaeConfig};
 use uae::data::{generate, split_by_ratio, FlatData, SimConfig};
 use uae::metrics::{auc, brier_score, expected_calibration_error, probability_bias};
 use uae::tensor::Rng;
@@ -51,11 +51,20 @@ fn main() {
     let edm = Edm::default();
     report("EDM", &edm.predict(&dataset, train_sessions));
 
-    let mut pn = BiasedAttentionBaseline::pn(&dataset.schema, uae_cfg.clone());
+    // PN and NDB are the same GRU attention network trained with a biased
+    // risk (Eq. 4 / Eq. 5) instead of UAE's dual unbiased risks.
+    let with_risk = |estimator| UaeConfig {
+        estimator,
+        ..uae_cfg.clone()
+    };
+    let mut pn = Uae::new(&dataset.schema, with_risk(EstimatorSpec::Pn));
     pn.fit(&dataset, train_sessions);
     report("PN", &pn.predict(&dataset, train_sessions));
 
-    let mut ndb = BiasedAttentionBaseline::ndb(&dataset.schema, uae_cfg.clone(), 10);
+    let mut ndb = Uae::new(
+        &dataset.schema,
+        with_risk(EstimatorSpec::Ndb { window: 10 }),
+    );
     ndb.fit(&dataset, train_sessions);
     report("NDB", &ndb.predict(&dataset, train_sessions));
 

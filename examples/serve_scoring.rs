@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example serve_scoring`
 //!
 //! Knobs: `UAE_SERVE_BATCH` / `UAE_SERVE_MAX_LEN` shape the scorer's
-//! batching, `UAE_NUM_THREADS` / `UAE_KERNELS` the compute backend — the
-//! scores themselves are bit-identical under every setting.
+//! batching, `UAE_NUM_THREADS` the compute backend — the scores
+//! themselves are bit-identical under every setting.
 
 use uae::core::{AttentionEstimator, Uae, UaeConfig};
 use uae::data::{generate, split_by_ratio, FlatData, SimConfig};

@@ -3,8 +3,9 @@
 //! A from-scratch Rust reproduction of the paper's system: the **UAE**
 //! unbiased attention estimator (sequential PU-learning with dual unbiased
 //! risks and alternating optimization), every attention baseline it is
-//! compared against (EDM, NDB, PN, SAR), the seven downstream CTR
-//! recommenders of Table IV, a behaviour simulator standing in for the
+//! compared against (the training-free EDM; PN, NDB and SAR as `Uae`
+//! variants with a different risk or propensity head), the seven
+//! downstream CTR recommenders of Table IV, a behaviour simulator standing in for the
 //! paper's proprietary logs, an experiment harness that regenerates
 //! every table and figure, and a tape-free batched inference engine
 //! (`serve`) for scoring with frozen `.uaem` model snapshots.

@@ -2,7 +2,7 @@
 //! simulator ground truth, and of the harness-level method behaviours the
 //! paper's Table V depends on.
 
-use uae::core::{AttentionEstimator, BiasedAttentionBaseline, Edm, Uae, UaeConfig};
+use uae::core::{AttentionEstimator, Edm, EstimatorSpec, Uae, UaeConfig};
 use uae::data::{generate, FlatData, SimConfig};
 use uae::eval::{prepare, run_model, AttentionMethod, HarnessConfig, Preset};
 use uae::metrics::{auc, expected_calibration_error};
@@ -41,7 +41,11 @@ fn uae_is_better_calibrated_than_pn() {
     let flat = FlatData::from_sessions(&ds, &sessions);
     let true_rate = flat.true_attention.iter().filter(|&&x| x).count() as f64 / flat.len() as f64;
 
-    let mut pn = BiasedAttentionBaseline::pn(&ds.schema, fit_cfg(4));
+    let pn_cfg = UaeConfig {
+        estimator: EstimatorSpec::Pn,
+        ..fit_cfg(4)
+    };
+    let mut pn = Uae::new(&ds.schema, pn_cfg);
     pn.fit(&ds, &sessions);
     let pn_mean = pn
         .predict(&ds, &sessions)

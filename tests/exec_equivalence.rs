@@ -16,8 +16,8 @@ use uae::data::{generate, infer_seq_batches, FlatData, SimConfig};
 use uae::models::{predict, train, LabelMode, ModelConfig, ModelKind, TrainConfig};
 use uae::serve::{FrozenModel, FrozenRecommender, RecScorer, Scorer, ScorerConfig};
 use uae::tensor::{
-    arena_enabled, arena_stats, reset_arena_stats, with_fusion, with_num_threads, Exec, Params,
-    Rng, Tape, ValueExec, Var,
+    arena_stats, reset_arena_stats, with_fusion, with_num_threads, Exec, Params, Rng, Tape,
+    ValueExec, Var,
 };
 
 /// The full attention + propensity stack of UAE, forward under both engines
@@ -64,7 +64,8 @@ fn uae_networks_match_bitwise_under_both_engines() {
     }
 }
 
-/// Same contract for the SAR baseline's local propensity head.
+/// Same contract for the SAR baseline's local propensity head, with the
+/// value engine fused and unfused.
 #[test]
 fn local_propensity_matches_bitwise_under_both_engines() {
     let ds = generate(&SimConfig::tiny(), 22);
@@ -73,18 +74,18 @@ fn local_propensity_matches_bitwise_under_both_engines() {
     let mut rng = Rng::seed_from_u64(6);
     let mut params = Params::new();
     let net = LocalPropensityNet::new("sar", &ds.schema, 4, &[8], None, &mut params, &mut rng);
-    for threads in [1usize, 4] {
+    for (threads, fused) in [(1usize, false), (1, true), (4, false), (4, true)] {
         with_num_threads(threads, || {
             for b in &batches {
                 let mut tape = Tape::new();
                 let lt = net.forward(&mut tape, &params, b);
-                let mut vx = ValueExec::new();
+                let mut vx = with_fusion(fused, ValueExec::new);
                 let lv = net.forward(&mut vx, &params, b);
                 for t in 0..b.steps {
                     assert_eq!(
                         tape.value(lt[t]).data(),
                         lv[t].data(),
-                        "t={t}, threads={threads}"
+                        "t={t}, threads={threads}, fused={fused}"
                     );
                 }
             }
@@ -94,7 +95,7 @@ fn local_propensity_matches_bitwise_under_both_engines() {
 
 /// Every Table-IV recommender, trained for one epoch so the parameters are
 /// off the init manifold, then forward under both engines over several
-/// batch shapes.
+/// batch shapes, with the value engine fused and unfused.
 #[test]
 fn every_recommender_matches_bitwise_under_both_engines() {
     let ds = generate(&SimConfig::tiny(), 23);
@@ -115,18 +116,18 @@ fn every_recommender_matches_bitwise_under_both_engines() {
                 ..TrainConfig::default()
             },
         );
-        for threads in [1usize, 4] {
+        for (threads, fused) in [(1usize, false), (1, true), (4, false), (4, true)] {
             with_num_threads(threads, || {
                 for (lo, hi) in [(0usize, 1usize), (0, 7), (3, flat.len().min(40))] {
                     let idx: Vec<usize> = (lo..hi).collect();
                     let batch = flat.gather(&idx);
                     let mut tape = Tape::new();
                     let logits = model.forward(&mut tape, &params, &batch);
-                    let free = model.infer(&params, &batch);
+                    let free = with_fusion(fused, || model.infer(&params, &batch));
                     assert_eq!(
                         tape.value(logits).data(),
                         free.data(),
-                        "{} diverged on rows {lo}..{hi} at threads={threads}",
+                        "{} diverged on rows {lo}..{hi} at threads={threads} fused={fused}",
                         kind.name()
                     );
                 }
@@ -206,9 +207,6 @@ fn fusion_is_bitwise_transparent_at_ragged_shapes() {
 /// the recommender scorer.
 #[test]
 fn steady_state_serve_scoring_is_arena_allocation_free() {
-    if !arena_enabled() {
-        return; // UAE_EXEC_ARENA=off: nothing to assert.
-    }
     let ds = generate(&SimConfig::tiny(), 33);
     let sessions: Vec<usize> = (0..ds.sessions.len()).collect();
     let cfg = UaeConfig {
