@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use uae_core::{Phase, PnRisk, RiskEstimator, WeightCtx};
 use uae_data::{generate, seq_batches, SimConfig};
 use uae_nn::GruCell;
-use uae_tensor::{Matrix, Params, Rng, Tape};
+use uae_tensor::{with_kernel_mode, with_num_threads, KernelMode, Matrix, Params, Rng, Tape};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut rng = Rng::seed_from_u64(1);
@@ -14,6 +14,28 @@ fn bench_matmul(c: &mut Criterion) {
     c.bench_function("matmul_256x128x128", |bench| {
         bench.iter(|| std::hint::black_box(a.matmul(&b)))
     });
+}
+
+/// Naive vs cache-blocked GEMM on one thread, at the two shapes where the
+/// blocked kernel has measured slower than the naive reference.
+fn bench_gemm_kernels(c: &mut Criterion) {
+    let mut rng = Rng::seed_from_u64(5);
+    for (m, k, n) in [(128, 64, 64), (512, 256, 256)] {
+        let a = Matrix::randn(m, k, 1.0, &mut rng);
+        let b = Matrix::randn(k, n, 1.0, &mut rng);
+        for (label, mode) in [
+            ("naive", KernelMode::Naive),
+            ("blocked", KernelMode::Blocked),
+        ] {
+            c.bench_function(&format!("matmul_{m}x{k}x{n}_{label}_1t"), |bench| {
+                bench.iter(|| {
+                    with_num_threads(1, || {
+                        with_kernel_mode(mode, || std::hint::black_box(a.matmul(&b)))
+                    })
+                })
+            });
+        }
+    }
 }
 
 fn bench_gru_step(c: &mut Criterion) {
@@ -90,6 +112,6 @@ fn bench_flatten(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul, bench_gru_step, bench_uae_training_step, bench_dataset_generation, bench_flatten
+    targets = bench_matmul, bench_gemm_kernels, bench_gru_step, bench_uae_training_step, bench_dataset_generation, bench_flatten
 }
 criterion_main!(benches);

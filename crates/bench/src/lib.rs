@@ -30,106 +30,3 @@ pub fn init_telemetry(run: &str) {
 pub fn flush_telemetry() {
     uae_obs::flush();
 }
-
-/// Replaces (or appends) one top-level section of the committed
-/// `BENCH_perf.json`, preserving every *other* section byte for byte.
-///
-/// The perf file is grown by several independent bench targets
-/// (`perf_backend`, `perf_serve`, `perf_daemon`), each owning one
-/// top-level key. Earlier targets used "truncate at my key" splicing,
-/// which silently deleted any section that happened to sort after theirs;
-/// this helper scans the existing section's balanced braces instead, so
-/// targets can run in any order without eating each other's numbers.
-///
-/// `section` must be the complete `"key": {...}` text, two-space indented,
-/// with no trailing comma or newline.
-pub fn splice_perf_section(existing: &str, key: &str, section: &str) -> String {
-    let needle = format!("\"{key}\":");
-    if let Some(kpos) = existing.find(&needle) {
-        // Replace the existing section: from the start of its line through
-        // the end of its balanced value.
-        let line_start = existing[..kpos].rfind('\n').map(|p| p + 1).unwrap_or(0);
-        let vstart = kpos + needle.len();
-        let end = section_end(existing, vstart);
-        // Everything past the old value (its trailing comma included, if it
-        // was not the last section) is kept verbatim.
-        format!("{}{}{}", &existing[..line_start], section, &existing[end..])
-    } else {
-        // Append before the final closing brace.
-        let t = existing.trim_end();
-        let t = t.strip_suffix('}').expect("perf json ends with '}'");
-        let t = t.trim_end();
-        let t = t.strip_suffix(',').unwrap_or(t);
-        format!("{t},\n{section}\n}}\n")
-    }
-}
-
-/// Byte offset just past the JSON value starting at (or after) `from`.
-/// Tracks strings and escapes, so braces inside `"note"` text don't
-/// unbalance the scan.
-fn section_end(text: &str, from: usize) -> usize {
-    let bytes = text.as_bytes();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (off, &b) in bytes[from..].iter().enumerate() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return from + off + 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    text.len()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const FILE: &str = "{\n  \"a\": {\n    \"x\": 1\n  },\n  \"b\": {\n    \"note\": \"braces } in { strings\",\n    \"y\": 2\n  },\n  \"c\": {\n    \"z\": 3\n  }\n}\n";
-
-    #[test]
-    fn replacing_a_middle_section_preserves_neighbors() {
-        let out = splice_perf_section(FILE, "b", "  \"b\": {\n    \"y\": 9\n  }");
-        assert!(out.contains("\"x\": 1"), "lost the leading section: {out}");
-        assert!(out.contains("\"y\": 9"), "replacement missing: {out}");
-        assert!(out.contains("\"z\": 3"), "lost the trailing section: {out}");
-        assert!(!out.contains("\"y\": 2"));
-        // Still exactly one b section, comma structure intact.
-        assert_eq!(out.matches("\"b\":").count(), 1);
-    }
-
-    #[test]
-    fn appending_a_new_section_keeps_the_file_well_formed() {
-        let out = splice_perf_section(FILE, "d", "  \"d\": {\n    \"w\": 4\n  }");
-        assert!(
-            out.trim_end().ends_with("\"w\": 4\n  }\n}"),
-            "bad tail: {out}"
-        );
-        assert!(out.contains("\"z\": 3"));
-    }
-
-    #[test]
-    fn replacing_the_last_section_works_without_a_trailing_comma() {
-        let out = splice_perf_section(FILE, "c", "  \"c\": {\n    \"z\": 30\n  }");
-        assert!(out.contains("\"z\": 30"));
-        assert!(out.contains("\"y\": 2"));
-        assert!(!out.contains("\"z\": 3,"));
-    }
-}

@@ -258,8 +258,8 @@ impl SimConfig {
     /// generation and training stay tractable. The point is the *schema* —
     /// `user_id` cardinality in the millions makes dense per-id embedding
     /// tables the dominant memory cost, which is exactly the regime hashed
-    /// embeddings and memory-mapped `.uaem` arenas exist for (see
-    /// `perf_embed` in the bench crate).
+    /// embeddings and memory-mapped `.uaem` arenas exist for (see the
+    /// `embed_accuracy` bench target and the benchmark's `serve-swap`).
     pub fn million_users() -> Self {
         let mut cfg = SimConfig::product(0.33);
         cfg.name = "million-users".into();

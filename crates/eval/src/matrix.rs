@@ -5,8 +5,9 @@
 //! split: how well does its α̂ rank true attention (AUC), how far off is its
 //! mean (bias), and how much does that mean move across training seeds
 //! (variance)? The matrix is the repo's standing answer to "which debiasing
-//! scheme survives which failure mode" — committed as `MATRIX.md` and gated
-//! in CI via the `perf_matrix` bench section.
+//! scheme survives which failure mode" — committed as `MATRIX.md` and
+//! `MATRIX.jsonl` (written by `uae matrix --md … --jsonl …`), and gated in
+//! CI by a check over the committed `MATRIX.jsonl`.
 
 use uae_core::{AttentionEstimator, EstimatorSpec, Uae, UaeConfig};
 use uae_data::{generate, split_by_ratio, Dataset, FlatData, SimConfig};
@@ -214,8 +215,8 @@ impl MatrixReport {
         out.push_str("# Estimator × scenario benchmark matrix\n\n");
         out.push_str(&format!(
             "Intrinsic attention-estimation quality on held-out sessions \
-             ({} seed{}, simulator scale {}). Generated by `uae matrix` / the \
-             `perf_matrix` bench — do not edit by hand.\n",
+             ({} seed{}, simulator scale {}). Generated by `uae matrix --md \
+             MATRIX.md --jsonl MATRIX.jsonl` — do not edit by hand.\n",
             self.seeds,
             if self.seeds == 1 { "" } else { "s" },
             self.scale
@@ -305,7 +306,7 @@ impl MatrixReport {
     }
 
     /// One JSON object per cell, machine-readable (the committed
-    /// `MATRIX.jsonl` and the `perf_matrix` BENCH section's payload).
+    /// `MATRIX.jsonl` that CI checks).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for c in &self.cells {

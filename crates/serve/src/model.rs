@@ -811,6 +811,8 @@ mod tests {
         // One form, two transports: the mapped and the copied load compare
         // equal (header fields and arena bytes), and both equal the export.
         let copied = FrozenModel::read_from(&path).unwrap();
+        #[cfg(unix)]
+        assert!(mapped.arena().is_mapped());
         assert!(!copied.arena().is_mapped());
         assert_eq!(mapped, copied);
         assert_eq!(mapped, frozen);

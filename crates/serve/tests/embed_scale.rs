@@ -1,7 +1,7 @@
 //! End-to-end contracts of the `.uaem` embedding scale-out: a dense model
 //! must score bit-identically whether it is kept in memory, copied from
 //! disk or memory-mapped, and hashed artifacts must round-trip with their
-//! bucket config intact.
+//! bucket config intact and encode smaller than their dense twin.
 
 use uae_core::{Uae, UaeConfig};
 use uae_data::{generate, Dataset, SimConfig};
@@ -88,6 +88,19 @@ fn hashed_artifact_round_trips_and_scores_identically() {
         assert_eq!(out.weights, base.weights);
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Hashing exists to shrink the artifact: bucketed tables replace the
+/// per-id rows, so the hashed `.uaem` encodes strictly smaller than the
+/// dense one trained on the same data.
+#[test]
+fn hashed_artifact_encodes_smaller_than_dense() {
+    let encoded = |hash_buckets: usize| {
+        let (ds, uae) = trained(hash_buckets);
+        FrozenModel::from_uae(&uae, &ds.schema, 15.0).encode().len()
+    };
+    let (dense, hashed) = (encoded(0), encoded(32));
+    assert!(hashed < dense, "hashed {hashed} B >= dense {dense} B");
 }
 
 /// Thread count must not perturb hashed scoring (the daemon shards work

@@ -7,8 +7,8 @@
 //! 1. **Cache-blocked kernels** (`matmul`, `matmul_tn`, `matmul_nt`, and the
 //!    bias-fused `matmul_bias`) with tight, bounds-check-free inner loops the
 //!    compiler can vectorize. A `Naive` kernel mode reproduces the seed's
-//!    simple triple loops; tests and the `perf_backend` baseline select it
-//!    with [`with_kernel_mode`] as their oracle.
+//!    simple triple loops; tests select it with [`with_kernel_mode`] as
+//!    their oracle, and `ops_microbench` times it against the blocked ones.
 //! 2. **A scoped-thread worker pool** (`std::thread::scope`, dependency-free)
 //!    that row-partitions work. Row partitioning never splits the f32
 //!    accumulation of a single output element, so results are **bit-identical
@@ -56,7 +56,6 @@ pub enum KernelMode {
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
     static MODE: Cell<KernelMode> = const { Cell::new(KernelMode::Blocked) };
-    static POOL_DISABLED: Cell<bool> = const { Cell::new(false) };
 }
 
 fn env_threads() -> usize {
@@ -105,12 +104,6 @@ pub fn kernel_mode() -> KernelMode {
 /// Runs `f` with the kernel mode pinned on this thread (scoped, panic-safe).
 pub fn with_kernel_mode<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
     with_cell(&MODE, mode, f)
-}
-
-/// Runs `f` with the scratch pool disabled on this thread (every allocation
-/// goes to the system allocator) — for benchmarking the pool's effect.
-pub fn with_pool_disabled<R>(f: impl FnOnce() -> R) -> R {
-    with_cell(&POOL_DISABLED, true, f)
 }
 
 /// Sets the thread-local `key` to `value` while `f` runs, restoring the
@@ -363,12 +356,6 @@ fn bucket_of(len: usize) -> usize {
 pub(crate) fn take_uninit(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
-    }
-    if POOL_DISABLED.with(Cell::get) {
-        // Still counted: the miss counter doubles as an allocation counter
-        // for the pooled-vs-unpooled benchmark comparison.
-        POOL.with(|p| p.borrow_mut().misses += 1);
-        return vec![0.0; len];
     }
     POOL.with(|p| {
         let mut p = p.borrow_mut();
@@ -1084,22 +1071,6 @@ mod tests {
                 let stats = scratch_stats();
                 assert_eq!(stats.hits, 1);
                 assert_eq!(stats.returned, 1);
-            });
-        });
-    }
-
-    #[test]
-    fn pool_disabled_always_misses() {
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let v = take_uninit(64);
-                recycle(v);
-                with_pool_disabled(|| {
-                    reset_scratch_stats();
-                    let _v = take_uninit(64);
-                    assert_eq!(scratch_stats().hits, 0);
-                    assert_eq!(scratch_stats().misses, 1);
-                });
             });
         });
     }

@@ -167,7 +167,7 @@ impl MmapRegion {
     }
 
     /// Whether the region rides a real `mmap` (vs. the heap fallback) — the
-    /// bit the cold-start bench reports so a "zero-copy" claim is checkable.
+    /// bit the `.uaem` load tests assert so a "zero-copy" claim is checkable.
     pub fn is_mapped(&self) -> bool {
         #[cfg(unix)]
         {

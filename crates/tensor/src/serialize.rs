@@ -89,7 +89,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.bytes.len() - self.pos {
             return Err(DecodeError::Truncated);
         }
         let slice = &self.bytes[self.pos..self.pos + n];
@@ -129,7 +129,11 @@ pub fn decode_params(bytes: &[u8]) -> Result<Vec<DecodedParam>, DecodeError> {
             .to_string();
         let rows = cur.u32()? as usize;
         let cols = cur.u32()? as usize;
-        let raw = cur.take(rows * cols * 4)?;
+        let len = rows
+            .checked_mul(cols)
+            .and_then(|n| n.checked_mul(4))
+            .ok_or(DecodeError::Truncated)?;
+        let raw = cur.take(len)?;
         let data: Vec<f32> = raw
             .chunks_exact(4)
             .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -222,6 +226,17 @@ mod tests {
         let mut blob = save_params(&arena());
         blob[4..8].copy_from_slice(&99u32.to_le_bytes());
         assert_eq!(decode_params(&blob), Err(DecodeError::BadVersion(99)));
+        // A hostile shape whose byte length overflows usize: a typed error,
+        // not an arithmetic-overflow or `from_vec` length panic.
+        let mut blob = Vec::new();
+        blob.extend_from_slice(MAGIC);
+        blob.extend_from_slice(&VERSION.to_le_bytes());
+        blob.extend_from_slice(&1u32.to_le_bytes());
+        blob.extend_from_slice(&1u32.to_le_bytes());
+        blob.push(b'w');
+        blob.extend_from_slice(&0x8000_0000u32.to_le_bytes());
+        blob.extend_from_slice(&0x8000_0000u32.to_le_bytes());
+        assert_eq!(decode_params(&blob), Err(DecodeError::Truncated));
     }
 
     #[test]
