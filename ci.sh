@@ -30,6 +30,11 @@ cargo test -q -p uae-tensor -p uae-data -p uae-metrics -p uae-core -p uae-obs -p
 echo "==> cargo test -q -p uae-serve"
 cargo test -q -p uae-serve
 
+# The model zoo, runtime and evaluation crates' own suites: the root
+# `cargo test` covers only the `uae` package, and no step above names them.
+echo "==> cargo test -q -p uae-models -p uae-runtime -p uae-eval"
+cargo test -q -p uae-models -p uae-runtime -p uae-eval
+
 # The compute backend must be bit-identical at every thread count; run the
 # kernel-level and end-to-end determinism suites under both settings to catch
 # any env-path nondeterminism the scoped-override tests could miss.
@@ -230,7 +235,7 @@ grep -q "DCN" <<< "$rec_out"
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-echo "==> docs gate (markdown links resolve; UAE_* env vars in code and docs/OPERATIONS.md match)"
+echo "==> docs gate (markdown links resolve; UAE_* env vars in code and docs/OPERATIONS.md match; one knob table)"
 python3 -c "
 import os, re, sys
 
@@ -289,8 +294,16 @@ assert not undocumented, f'env vars read in code but missing from docs/OPERATION
 # so a deleted knob cannot linger in the handbook. ---
 stale = sorted(set(re.findall(r'UAE_[A-Z0-9_]*[A-Z0-9]', ops)) - used)
 assert not stale, f'docs/OPERATIONS.md names env vars no code reads: {stale}'
+
+# --- 4. docs/OPERATIONS.md is the only home of a UAE_* knob table: a table
+# row naming a knob anywhere else is a second copy that drifts. ---
+tables = sorted(set(docs) | {f for f in os.listdir('.') if f.endswith('.md')})
+copies = [f'{doc}:{n}' for doc in tables if doc != os.path.join('docs', 'OPERATIONS.md')
+          for n, line in enumerate(open(doc), 1) if line.startswith('| \x60UAE_')]
+assert not copies, f'UAE_* table rows outside docs/OPERATIONS.md: {copies}'
 print(f'docs gate OK: {len(docs)} files link-checked, '
-      f'{len(used)} UAE_* env vars read in code, all documented in docs/OPERATIONS.md and no others')
+      f'{len(used)} UAE_* env vars read in code, all documented in docs/OPERATIONS.md and no others, '
+      f'no knob table in {len(tables) - 1} other markdown files')
 "
 
 echo "==> cargo clippy --workspace -- -D warnings"

@@ -22,7 +22,7 @@ use uae_data::{generate, schema_for, Dataset, SimConfig};
 use uae_metrics::auc;
 use uae_nn::{HashConfig, HashedEmbedding};
 use uae_serve::FrozenModel;
-use uae_tensor::{Params, Rng};
+use uae_tensor::Params;
 
 const BUCKETS: usize = 1 << 16;
 const NUM_HASHES: usize = 2;
@@ -64,7 +64,7 @@ fn main() {
     );
 
     // Construction-time collision measurement over the real schema
-    // cardinalities (seeded mapping — independent of init RNG and training).
+    // cardinalities (seeded mapping — independent of init values and training).
     let schema = schema_for(&cfg);
     let probe = HashedEmbedding::new(
         "probe",
@@ -72,7 +72,6 @@ fn main() {
         4,
         HashConfig::new(BUCKETS, NUM_HASHES),
         &mut Params::new(),
-        &mut Rng::seed_from_u64(1),
     );
     let max_collision = probe.collision_rates().iter().cloned().fold(0.0, f64::max);
     println!(

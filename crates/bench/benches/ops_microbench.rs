@@ -41,7 +41,8 @@ fn bench_gemm_kernels(c: &mut Criterion) {
 fn bench_gru_step(c: &mut Criterion) {
     let mut rng = Rng::seed_from_u64(2);
     let mut params = Params::new();
-    let cell = GruCell::new("g", 64, 64, &mut params, &mut rng);
+    let cell = GruCell::new("g", 64, 64, &mut params);
+    params.init(&mut rng);
     let x = Matrix::randn(128, 64, 1.0, &mut rng);
     c.bench_function("gru_step_batch128_h64", |bench| {
         bench.iter_batched(

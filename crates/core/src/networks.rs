@@ -38,6 +38,45 @@ pub struct AttentionNet {
 }
 
 impl AttentionNet {
+    /// Registers the network's parameters (names, shapes, init schemes) in
+    /// `params` and draws nothing.
+    pub fn register(
+        name: &str,
+        schema: &FeatureSchema,
+        embed_dim: usize,
+        gru_hidden: usize,
+        mlp_hidden: &[usize],
+        hash: Option<HashConfig>,
+        params: &mut Params,
+    ) -> Self {
+        let emb = EmbeddingBank::new(
+            &format!("{name}.emb"),
+            &schema.cat_cardinalities,
+            embed_dim,
+            hash,
+            params,
+        );
+        let in_dim = emb.concat_dim() + schema.num_dense();
+        let gru = GruCell::new(&format!("{name}.gru1"), in_dim, gru_hidden, params);
+        let head = Mlp::new(
+            &format!("{name}.mlp1"),
+            gru_hidden,
+            mlp_hidden,
+            1,
+            Activation::Relu,
+            Activation::None,
+            params,
+        );
+        AttentionNet {
+            emb,
+            gru,
+            head,
+            num_dense: schema.num_dense(),
+        }
+    }
+
+    /// A standalone trainable network: [`AttentionNet::register`], then
+    /// [`Params::init`] draws its values from `rng`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: &str,
@@ -49,32 +88,11 @@ impl AttentionNet {
         params: &mut Params,
         rng: &mut Rng,
     ) -> Self {
-        let emb = EmbeddingBank::new(
-            &format!("{name}.emb"),
-            &schema.cat_cardinalities,
-            embed_dim,
-            hash,
-            params,
-            rng,
+        let net = Self::register(
+            name, schema, embed_dim, gru_hidden, mlp_hidden, hash, params,
         );
-        let in_dim = emb.concat_dim() + schema.num_dense();
-        let gru = GruCell::new(&format!("{name}.gru1"), in_dim, gru_hidden, params, rng);
-        let head = Mlp::new(
-            &format!("{name}.mlp1"),
-            gru_hidden,
-            mlp_hidden,
-            1,
-            Activation::Relu,
-            Activation::None,
-            params,
-            rng,
-        );
-        AttentionNet {
-            emb,
-            gru,
-            head,
-            num_dense: schema.num_dense(),
-        }
+        params.init(rng);
+        net
     }
 
     pub fn hidden(&self) -> usize {
@@ -141,10 +159,9 @@ impl PropensityNet {
         gru_hidden: usize,
         mlp_hidden: &[usize],
         params: &mut Params,
-        rng: &mut Rng,
     ) -> Self {
         // GRU₂ consumes the scalar e_{t-1}.
-        let gru = GruCell::new(&format!("{name}.gru2"), 1, gru_hidden, params, rng);
+        let gru = GruCell::new(&format!("{name}.gru2"), 1, gru_hidden, params);
         let head = Mlp::new(
             &format!("{name}.mlp2"),
             attention_hidden + gru_hidden + 1,
@@ -153,7 +170,6 @@ impl PropensityNet {
             Activation::Relu,
             Activation::None,
             params,
-            rng,
         );
         PropensityNet { gru, head }
     }
@@ -202,7 +218,6 @@ impl LocalPropensityNet {
         mlp_hidden: &[usize],
         hash: Option<HashConfig>,
         params: &mut Params,
-        rng: &mut Rng,
     ) -> Self {
         let emb = EmbeddingBank::new(
             &format!("{name}.emb"),
@@ -210,7 +225,6 @@ impl LocalPropensityNet {
             embed_dim,
             hash,
             params,
-            rng,
         );
         let head = Mlp::new(
             &format!("{name}.mlp"),
@@ -220,7 +234,6 @@ impl LocalPropensityNet {
             Activation::Relu,
             Activation::None,
             params,
-            rng,
         );
         LocalPropensityNet {
             emb,
@@ -286,7 +299,8 @@ mod tests {
         let mut params_g = Params::new();
         let g = AttentionNet::new("g", &ds.schema, 4, 8, &[8], None, &mut params_g, &mut rng);
         let mut params_h = Params::new();
-        let h = PropensityNet::new("h", 8, 6, &[8], &mut params_h, &mut rng);
+        let h = PropensityNet::new("h", 8, 6, &[8], &mut params_h);
+        params_h.init(&mut rng);
 
         let mut tape = Tape::new();
         let gf = g.forward(&mut tape, &params_g, &b);
@@ -344,7 +358,8 @@ mod tests {
         }
         let mut rng = Rng::seed_from_u64(4);
         let mut params = Params::new();
-        let net = LocalPropensityNet::new("sar", &ds.schema, 4, &[8], None, &mut params, &mut rng);
+        let net = LocalPropensityNet::new("sar", &ds.schema, 4, &[8], None, &mut params);
+        params.init(&mut rng);
         let mut t1 = Tape::new();
         let l1 = net.forward(&mut t1, &params, &b);
         let mut t2 = Tape::new();

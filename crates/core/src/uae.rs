@@ -126,33 +126,77 @@ impl Uae {
     /// default, or any other [`RiskEstimator`] from the catalogue.
     /// Single-network estimators skip the propensity head entirely.
     pub fn new(schema: &uae_data::FeatureSchema, cfg: UaeConfig) -> Self {
+        Self::construct(schema, cfg, false).init(0x7561_6531)
+    }
+
+    /// Builds the SAR baseline: same alternating optimization (always with
+    /// the dual UAE risks — `cfg.estimator` is overridden), but the
+    /// propensity depends on the current features only.
+    pub fn new_sar(schema: &uae_data::FeatureSchema, cfg: UaeConfig) -> Self {
+        Self::construct(schema, cfg, true).init(0x7361_7233)
+    }
+
+    /// The model [`Uae::new`] (`sequential`) or [`Uae::new_sar`] builds,
+    /// with stored parameter values instead of drawn ones: `bind` gets Θ_g
+    /// (set 0), then Θ_h (set 1), each registered but without values, and
+    /// must give every parameter its value (see [`Params::bind`]). Nothing
+    /// is drawn and no gradient buffer is allocated.
+    pub fn bind<E>(
+        schema: &uae_data::FeatureSchema,
+        cfg: UaeConfig,
+        sequential: bool,
+        mut bind: impl FnMut(&mut Params, usize) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let mut uae = Self::construct(schema, cfg, !sequential);
+        bind(&mut uae.params_g, 0)?;
+        bind(&mut uae.params_h, 1)?;
+        Ok(uae)
+    }
+
+    /// Registers both networks' parameters and draws nothing.
+    fn construct(schema: &uae_data::FeatureSchema, cfg: UaeConfig, sar: bool) -> Self {
+        let cfg = if sar {
+            UaeConfig {
+                estimator: EstimatorSpec::UaeDual,
+                ..cfg
+            }
+        } else {
+            cfg
+        };
         let estimator = cfg.estimator.build(&cfg);
-        let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x7561_6531);
+        let prefix = if sar { "sar" } else { "uae" };
         let mut params_g = Params::new();
-        let g = AttentionNet::new(
-            "uae.g",
+        let g = AttentionNet::register(
+            &format!("{prefix}.g"),
             schema,
             cfg.embed_dim,
             cfg.gru_hidden,
             &cfg.mlp_hidden,
             cfg.hash_spec(),
             &mut params_g,
-            &mut rng,
         );
         let mut params_h = Params::new();
-        let h = if estimator.dual() {
+        let h = if sar {
+            PropensityHead::Local(LocalPropensityNet::new(
+                "sar.h",
+                schema,
+                cfg.embed_dim,
+                &cfg.mlp_hidden,
+                cfg.hash_spec(),
+                &mut params_h,
+            ))
+        } else if estimator.dual() {
             PropensityHead::Sequential(PropensityNet::new(
                 "uae.h",
                 cfg.gru_hidden,
                 cfg.gru_hidden.max(4) / 2,
                 &cfg.mlp_hidden,
                 &mut params_h,
-                &mut rng,
             ))
         } else {
             PropensityHead::None
         };
-        let name = estimator.name();
+        let name = if sar { "SAR" } else { estimator.name() };
         Uae {
             g,
             params_g,
@@ -164,46 +208,13 @@ impl Uae {
         }
     }
 
-    /// Builds the SAR baseline: same alternating optimization (always with
-    /// the dual UAE risks — `cfg.estimator` is overridden), but the
-    /// propensity depends on the current features only.
-    pub fn new_sar(schema: &uae_data::FeatureSchema, cfg: UaeConfig) -> Self {
-        let cfg = UaeConfig {
-            estimator: EstimatorSpec::UaeDual,
-            ..cfg
-        };
-        let estimator = cfg.estimator.build(&cfg);
-        let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x7361_7233);
-        let mut params_g = Params::new();
-        let g = AttentionNet::new(
-            "sar.g",
-            schema,
-            cfg.embed_dim,
-            cfg.gru_hidden,
-            &cfg.mlp_hidden,
-            cfg.hash_spec(),
-            &mut params_g,
-            &mut rng,
-        );
-        let mut params_h = Params::new();
-        let h = LocalPropensityNet::new(
-            "sar.h",
-            schema,
-            cfg.embed_dim,
-            &cfg.mlp_hidden,
-            cfg.hash_spec(),
-            &mut params_h,
-            &mut rng,
-        );
-        Uae {
-            g,
-            params_g,
-            h: PropensityHead::Local(h),
-            params_h,
-            cfg,
-            estimator,
-            name: "SAR",
-        }
+    /// Draws the initial values of Θ_g, then Θ_h, each in registration
+    /// order, from one stream seeded by `cfg.seed ^ salt`.
+    fn init(mut self, salt: u64) -> Self {
+        let mut rng = Rng::seed_from_u64(self.cfg.seed ^ salt);
+        self.params_g.init(&mut rng);
+        self.params_h.init(&mut rng);
+        self
     }
 
     /// Forward of the propensity head with detached `z₁` (on the tape the
@@ -402,11 +413,6 @@ impl Uae {
     /// The propensity head's parameter arena (Θ_h).
     pub fn propensity_params(&self) -> &Params {
         &self.params_h
-    }
-
-    /// Mutable access to Θ_h.
-    pub fn propensity_params_mut(&mut self) -> &mut Params {
-        &mut self.params_h
     }
 
     /// Restores both arenas, both optimizers, the RNG, and the fit

@@ -3,7 +3,7 @@
 
 use uae_data::{FeatureSchema, FlatBatch};
 use uae_nn::{InteractingLayer, Linear};
-use uae_tensor::{Exec, Params, Rng};
+use uae_tensor::{Exec, Params};
 
 use crate::encoder::Encoder;
 use crate::recommender::{ModelConfig, RecommenderForward};
@@ -21,28 +21,16 @@ pub struct AutoInt {
 }
 
 impl AutoInt {
-    pub fn new(
-        schema: &FeatureSchema,
-        config: &ModelConfig,
-        params: &mut Params,
-        rng: &mut Rng,
-    ) -> Self {
+    pub fn new(schema: &FeatureSchema, config: &ModelConfig, params: &mut Params) -> Self {
         let encoder = Encoder::new(
             "autoint.emb",
             schema,
             config.embed_dim,
             config.hash_spec(),
             params,
-            rng,
         );
         let k = config.embed_dim;
-        let dense_proj = Linear::new(
-            "autoint.dense_proj",
-            encoder.num_dense().max(1),
-            k,
-            params,
-            rng,
-        );
+        let dense_proj = Linear::new("autoint.dense_proj", encoder.num_dense().max(1), k, params);
         let num_tokens = encoder.num_fields() + 1;
         let mut layers = Vec::with_capacity(config.attn_layers.max(1));
         let mut in_dim = k;
@@ -53,12 +41,11 @@ impl AutoInt {
                 config.attn_heads,
                 config.attn_head_dim,
                 params,
-                rng,
             );
             in_dim = layer.out_dim();
             layers.push(layer);
         }
-        let head = Linear::new("autoint.head", num_tokens * in_dim, 1, params, rng);
+        let head = Linear::new("autoint.head", num_tokens * in_dim, 1, params);
         AutoInt {
             encoder,
             dense_proj,
@@ -97,7 +84,7 @@ mod tests {
     use super::*;
     use crate::recommender::Recommender;
     use uae_data::{generate, FlatData, SimConfig};
-    use uae_tensor::Tape;
+    use uae_tensor::{Rng, Tape};
 
     #[test]
     fn stacked_layers_change_width_correctly() {
@@ -113,7 +100,8 @@ mod tests {
             attn_head_dim: 4,
             ..Default::default()
         };
-        let model = AutoInt::new(&ds.schema, &cfg, &mut params, &mut rng);
+        let model = AutoInt::new(&ds.schema, &cfg, &mut params);
+        params.init(&mut rng);
         let mut tape = Tape::new();
         let out = Recommender::forward(&model, &mut tape, &params, &batch);
         assert_eq!(tape.value(out).shape(), (4, 1));

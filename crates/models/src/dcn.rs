@@ -3,7 +3,7 @@
 
 use uae_data::{FeatureSchema, FlatBatch};
 use uae_nn::{Activation, CrossLayerV1, CrossLayerV2, Linear, Mlp};
-use uae_tensor::{Exec, Params, Rng};
+use uae_tensor::{Exec, Params};
 
 use crate::encoder::Encoder;
 use crate::recommender::{ModelConfig, RecommenderForward};
@@ -18,23 +18,17 @@ pub struct Dcn {
 }
 
 impl Dcn {
-    pub fn new(
-        schema: &FeatureSchema,
-        config: &ModelConfig,
-        params: &mut Params,
-        rng: &mut Rng,
-    ) -> Self {
+    pub fn new(schema: &FeatureSchema, config: &ModelConfig, params: &mut Params) -> Self {
         let encoder = Encoder::new(
             "dcn.emb",
             schema,
             config.embed_dim,
             config.hash_spec(),
             params,
-            rng,
         );
         let dim = encoder.full_dim();
         let cross = (0..config.cross_layers.max(1))
-            .map(|i| CrossLayerV1::new(&format!("dcn.cross{i}"), dim, params, rng))
+            .map(|i| CrossLayerV1::new(&format!("dcn.cross{i}"), dim, params))
             .collect();
         let deep_out = *config.hidden.last().unwrap_or(&32);
         let deep = Mlp::new(
@@ -45,9 +39,8 @@ impl Dcn {
             Activation::Relu,
             Activation::Relu,
             params,
-            rng,
         );
-        let head = Linear::new("dcn.head", dim + deep_out, 1, params, rng);
+        let head = Linear::new("dcn.head", dim + deep_out, 1, params);
         Dcn {
             encoder,
             cross,
@@ -83,23 +76,17 @@ pub struct DcnV2 {
 }
 
 impl DcnV2 {
-    pub fn new(
-        schema: &FeatureSchema,
-        config: &ModelConfig,
-        params: &mut Params,
-        rng: &mut Rng,
-    ) -> Self {
+    pub fn new(schema: &FeatureSchema, config: &ModelConfig, params: &mut Params) -> Self {
         let encoder = Encoder::new(
             "dcnv2.emb",
             schema,
             config.embed_dim,
             config.hash_spec(),
             params,
-            rng,
         );
         let dim = encoder.full_dim();
         let cross = (0..config.cross_layers.max(1))
-            .map(|i| CrossLayerV2::new(&format!("dcnv2.cross{i}"), dim, params, rng))
+            .map(|i| CrossLayerV2::new(&format!("dcnv2.cross{i}"), dim, params))
             .collect();
         let deep_out = *config.hidden.last().unwrap_or(&32);
         let deep = Mlp::new(
@@ -110,9 +97,8 @@ impl DcnV2 {
             Activation::Relu,
             Activation::Relu,
             params,
-            rng,
         );
-        let head = Linear::new("dcnv2.head", dim + deep_out, 1, params, rng);
+        let head = Linear::new("dcnv2.head", dim + deep_out, 1, params);
         DcnV2 {
             encoder,
             cross,
@@ -163,7 +149,8 @@ mod tests {
             cross_layers: 3,
             ..Default::default()
         };
-        let model = Dcn::new(&ds.schema, &cfg, &mut params, &mut rng);
+        let model = Dcn::new(&ds.schema, &cfg, &mut params);
+        params.init(&mut rng);
         let mut tape = Tape::new();
         let out = Recommender::forward(&model, &mut tape, &params, &b);
         assert_eq!(tape.value(out).shape(), (6, 1));
@@ -177,10 +164,12 @@ mod tests {
         let cfg = ModelConfig::default();
         let mut rng1 = Rng::seed_from_u64(2);
         let mut p1 = Params::new();
-        let v1 = Dcn::new(&ds.schema, &cfg, &mut p1, &mut rng1);
+        let v1 = Dcn::new(&ds.schema, &cfg, &mut p1);
+        p1.init(&mut rng1);
         let mut rng2 = Rng::seed_from_u64(2);
         let mut p2 = Params::new();
-        let v2 = DcnV2::new(&ds.schema, &cfg, &mut p2, &mut rng2);
+        let v2 = DcnV2::new(&ds.schema, &cfg, &mut p2);
+        p2.init(&mut rng2);
         // DCN-V2 has strictly more parameters (d×d vs d×1 cross weights).
         assert!(p2.num_scalars() > p1.num_scalars());
         let mut t1 = Tape::new();
@@ -195,7 +184,8 @@ mod tests {
         let (ds, b) = batch();
         let mut rng = Rng::seed_from_u64(3);
         let mut params = Params::new();
-        let model = DcnV2::new(&ds.schema, &ModelConfig::default(), &mut params, &mut rng);
+        let model = DcnV2::new(&ds.schema, &ModelConfig::default(), &mut params);
+        params.init(&mut rng);
         let mut tape = Tape::new();
         let logits = Recommender::forward(&model, &mut tape, &params, &b);
         let pos: Vec<f32> = b.label.iter().map(|&y| y as u8 as f32).collect();

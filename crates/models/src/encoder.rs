@@ -2,7 +2,7 @@
 
 use uae_data::{FeatureSchema, FlatBatch};
 use uae_nn::{EmbeddingBank, HashConfig};
-use uae_tensor::{Exec, Matrix, Params, Rng};
+use uae_tensor::{Exec, Init, Params};
 
 /// Embedding-based feature encoder shared by all deep models.
 #[derive(Debug, Clone)]
@@ -13,7 +13,7 @@ pub struct Encoder {
 
 /// The encoded views of a batch that different architectures consume. `V` is
 /// the execution context's value handle ([`Var`](uae_tensor::Var) on the
-/// tape, [`Matrix`] tape-free).
+/// tape, [`Matrix`](uae_tensor::Matrix) tape-free).
 pub struct Encoded<V> {
     /// Per-field embeddings, each `batch × k`.
     pub fields: Vec<V>,
@@ -33,17 +33,9 @@ impl Encoder {
         embed_dim: usize,
         hash: Option<HashConfig>,
         params: &mut Params,
-        rng: &mut Rng,
     ) -> Self {
         Encoder {
-            emb: EmbeddingBank::new(
-                name,
-                &schema.cat_cardinalities,
-                embed_dim,
-                hash,
-                params,
-                rng,
-            ),
+            emb: EmbeddingBank::new(name, &schema.cat_cardinalities, embed_dim, hash, params),
             num_dense: schema.num_dense(),
         }
     }
@@ -115,7 +107,6 @@ impl LinearTerm {
         schema: &FeatureSchema,
         hash: Option<HashConfig>,
         params: &mut Params,
-        rng: &mut Rng,
     ) -> Self {
         LinearTerm {
             weights: EmbeddingBank::new(
@@ -124,13 +115,14 @@ impl LinearTerm {
                 1,
                 hash,
                 params,
-                rng,
             ),
-            dense_w: params.add(
+            dense_w: params.register(
                 format!("{name}.dense_w"),
-                uae_nn::init::xavier_uniform(schema.num_dense().max(1), 1, rng),
+                schema.num_dense().max(1),
+                1,
+                Init::XavierUniform,
             ),
-            bias: params.add(format!("{name}.bias"), Matrix::zeros(1, 1)),
+            bias: params.register(format!("{name}.bias"), 1, 1, Init::Zeros),
         }
     }
 
@@ -155,7 +147,7 @@ impl LinearTerm {
 mod tests {
     use super::*;
     use uae_data::{generate, FlatData, SimConfig};
-    use uae_tensor::Tape;
+    use uae_tensor::{Rng, Tape};
 
     fn batch() -> (uae_data::Dataset, FlatBatch) {
         let ds = generate(&SimConfig::tiny(), 1);
@@ -170,7 +162,8 @@ mod tests {
         let (ds, b) = batch();
         let mut rng = Rng::seed_from_u64(2);
         let mut params = Params::new();
-        let enc = Encoder::new("e", &ds.schema, 4, None, &mut params, &mut rng);
+        let enc = Encoder::new("e", &ds.schema, 4, None, &mut params);
+        params.init(&mut rng);
         let mut tape = Tape::new();
         let out = enc.encode(&mut tape, &params, &b);
         assert_eq!(out.fields.len(), ds.schema.num_cat_fields());
@@ -187,7 +180,8 @@ mod tests {
         let (ds, b) = batch();
         let mut rng = Rng::seed_from_u64(3);
         let mut params = Params::new();
-        let lin = LinearTerm::new("l", &ds.schema, None, &mut params, &mut rng);
+        let lin = LinearTerm::new("l", &ds.schema, None, &mut params);
+        params.init(&mut rng);
         let mut tape = Tape::new();
         let out = lin.forward(&mut tape, &params, &b);
         assert_eq!(tape.value(out).shape(), (6, 1));

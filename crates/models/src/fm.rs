@@ -3,7 +3,7 @@
 
 use uae_data::{FeatureSchema, FlatBatch};
 use uae_nn::{Activation, Mlp};
-use uae_tensor::{Exec, Params, Rng};
+use uae_tensor::{Exec, Params};
 
 use crate::encoder::{Encoder, LinearTerm};
 use crate::recommender::{ModelConfig, RecommenderForward};
@@ -34,21 +34,15 @@ pub struct Fm {
 }
 
 impl Fm {
-    pub fn new(
-        schema: &FeatureSchema,
-        config: &ModelConfig,
-        params: &mut Params,
-        rng: &mut Rng,
-    ) -> Self {
+    pub fn new(schema: &FeatureSchema, config: &ModelConfig, params: &mut Params) -> Self {
         Fm {
-            linear: LinearTerm::new("fm.lin", schema, config.hash_spec(), params, rng),
+            linear: LinearTerm::new("fm.lin", schema, config.hash_spec(), params),
             encoder: Encoder::new(
                 "fm.emb",
                 schema,
                 config.embed_dim,
                 config.hash_spec(),
                 params,
-                rng,
             ),
         }
     }
@@ -75,19 +69,13 @@ pub struct DeepFm {
 }
 
 impl DeepFm {
-    pub fn new(
-        schema: &FeatureSchema,
-        config: &ModelConfig,
-        params: &mut Params,
-        rng: &mut Rng,
-    ) -> Self {
+    pub fn new(schema: &FeatureSchema, config: &ModelConfig, params: &mut Params) -> Self {
         let encoder = Encoder::new(
             "deepfm.emb",
             schema,
             config.embed_dim,
             config.hash_spec(),
             params,
-            rng,
         );
         let deep = Mlp::new(
             "deepfm.deep",
@@ -97,10 +85,9 @@ impl DeepFm {
             Activation::Relu,
             Activation::None,
             params,
-            rng,
         );
         DeepFm {
-            linear: LinearTerm::new("deepfm.lin", schema, config.hash_spec(), params, rng),
+            linear: LinearTerm::new("deepfm.lin", schema, config.hash_spec(), params),
             encoder,
             deep,
         }

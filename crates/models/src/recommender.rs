@@ -178,37 +178,56 @@ impl ModelKind {
         }
     }
 
-    /// Instantiates the model, registering its parameters into a fresh arena.
+    /// Instantiates the model and draws its initial values from `rng`.
     pub fn build(
         self,
         schema: &FeatureSchema,
         config: &ModelConfig,
         rng: &mut Rng,
     ) -> (Box<dyn Recommender + Send + Sync>, Params) {
+        let (model, mut params) = self.construct(schema, config);
+        params.init(rng);
+        (model, params)
+    }
+
+    /// The model [`ModelKind::build`] makes, with stored parameter values
+    /// instead of drawn ones: `bind` gets the registered parameters without
+    /// values and must give each its value (see [`Params::bind`]). Nothing
+    /// is drawn and no gradient buffer is allocated.
+    pub fn bind<E>(
+        self,
+        schema: &FeatureSchema,
+        config: &ModelConfig,
+        bind: impl FnOnce(&mut Params) -> Result<(), E>,
+    ) -> Result<(Box<dyn Recommender + Send + Sync>, Params), E> {
+        let (model, mut params) = self.construct(schema, config);
+        bind(&mut params)?;
+        Ok((model, params))
+    }
+
+    /// Registers the model's parameters into a fresh arena; draws nothing.
+    fn construct(
+        self,
+        schema: &FeatureSchema,
+        config: &ModelConfig,
+    ) -> (Box<dyn Recommender + Send + Sync>, Params) {
         let mut params = Params::new();
         let model: Box<dyn Recommender + Send + Sync> = match self {
-            ModelKind::Fm => Box::new(crate::fm::Fm::new(schema, config, &mut params, rng)),
-            ModelKind::WideDeep => Box::new(crate::wide_deep::WideDeep::new(
-                schema,
-                config,
-                &mut params,
-                rng,
-            )),
-            ModelKind::DeepFm => Box::new(crate::fm::DeepFm::new(schema, config, &mut params, rng)),
+            ModelKind::Fm => Box::new(crate::fm::Fm::new(schema, config, &mut params)),
+            ModelKind::WideDeep => {
+                Box::new(crate::wide_deep::WideDeep::new(schema, config, &mut params))
+            }
+            ModelKind::DeepFm => Box::new(crate::fm::DeepFm::new(schema, config, &mut params)),
             ModelKind::YoutubeNet => Box::new(crate::wide_deep::YoutubeNet::new(
                 schema,
                 config,
                 &mut params,
-                rng,
             )),
-            ModelKind::Dcn => Box::new(crate::dcn::Dcn::new(schema, config, &mut params, rng)),
-            ModelKind::AutoInt => Box::new(crate::autoint::AutoInt::new(
-                schema,
-                config,
-                &mut params,
-                rng,
-            )),
-            ModelKind::DcnV2 => Box::new(crate::dcn::DcnV2::new(schema, config, &mut params, rng)),
+            ModelKind::Dcn => Box::new(crate::dcn::Dcn::new(schema, config, &mut params)),
+            ModelKind::AutoInt => {
+                Box::new(crate::autoint::AutoInt::new(schema, config, &mut params))
+            }
+            ModelKind::DcnV2 => Box::new(crate::dcn::DcnV2::new(schema, config, &mut params)),
         };
         (model, params)
     }

@@ -3,7 +3,7 @@
 
 use uae_data::{FeatureSchema, FlatBatch};
 use uae_nn::{Activation, Mlp};
-use uae_tensor::{Exec, Params, Rng};
+use uae_tensor::{Exec, Params};
 
 use crate::encoder::{Encoder, LinearTerm};
 use crate::recommender::{ModelConfig, RecommenderForward};
@@ -17,19 +17,13 @@ pub struct WideDeep {
 }
 
 impl WideDeep {
-    pub fn new(
-        schema: &FeatureSchema,
-        config: &ModelConfig,
-        params: &mut Params,
-        rng: &mut Rng,
-    ) -> Self {
+    pub fn new(schema: &FeatureSchema, config: &ModelConfig, params: &mut Params) -> Self {
         let encoder = Encoder::new(
             "wd.emb",
             schema,
             config.embed_dim,
             config.hash_spec(),
             params,
-            rng,
         );
         let deep = Mlp::new(
             "wd.deep",
@@ -39,10 +33,9 @@ impl WideDeep {
             Activation::Relu,
             Activation::None,
             params,
-            rng,
         );
         WideDeep {
-            wide: LinearTerm::new("wd.wide", schema, config.hash_spec(), params, rng),
+            wide: LinearTerm::new("wd.wide", schema, config.hash_spec(), params),
             encoder,
             deep,
         }
@@ -69,19 +62,13 @@ pub struct YoutubeNet {
 }
 
 impl YoutubeNet {
-    pub fn new(
-        schema: &FeatureSchema,
-        config: &ModelConfig,
-        params: &mut Params,
-        rng: &mut Rng,
-    ) -> Self {
+    pub fn new(schema: &FeatureSchema, config: &ModelConfig, params: &mut Params) -> Self {
         let encoder = Encoder::new(
             "yt.emb",
             schema,
             config.embed_dim,
             config.hash_spec(),
             params,
-            rng,
         );
         let tower = Mlp::new(
             "yt.tower",
@@ -91,7 +78,6 @@ impl YoutubeNet {
             Activation::Relu,
             Activation::None,
             params,
-            rng,
         );
         YoutubeNet { encoder, tower }
     }
@@ -130,7 +116,8 @@ mod tests {
         let (ds, b) = batch();
         let mut rng = Rng::seed_from_u64(1);
         let mut params = Params::new();
-        let model = WideDeep::new(&ds.schema, &ModelConfig::default(), &mut params, &mut rng);
+        let model = WideDeep::new(&ds.schema, &ModelConfig::default(), &mut params);
+        params.init(&mut rng);
         let mut tape = Tape::new();
         let full = Recommender::forward(&model, &mut tape, &params, &b);
         let full_vals = tape.value(full).clone();
@@ -154,7 +141,8 @@ mod tests {
         let (ds, b) = batch();
         let mut rng = Rng::seed_from_u64(2);
         let mut params = Params::new();
-        let model = YoutubeNet::new(&ds.schema, &ModelConfig::default(), &mut params, &mut rng);
+        let model = YoutubeNet::new(&ds.schema, &ModelConfig::default(), &mut params);
+        params.init(&mut rng);
         let mut tape = Tape::new();
         let out = Recommender::forward(&model, &mut tape, &params, &b);
         assert_eq!(tape.value(out).shape(), (5, 1));

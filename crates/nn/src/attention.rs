@@ -2,9 +2,7 @@
 //! AutoInt (Song et al., CIKM 2019), one of the base recommenders the paper
 //! enhances with UAE.
 
-use uae_tensor::{Exec, ParamId, Params, Rng};
-
-use crate::init;
+use uae_tensor::{Exec, Init, ParamId, Params};
 
 /// One interacting layer: per-head Q/K/V projections over the field axis,
 /// scaled dot-product attention among the `F` fields of each sample, head
@@ -31,29 +29,18 @@ impl InteractingLayer {
         num_heads: usize,
         head_dim: usize,
         params: &mut Params,
-        rng: &mut Rng,
     ) -> Self {
         assert!(num_heads > 0 && head_dim > 0);
+        let mut xavier =
+            |n: String, cols: usize| params.register(n, in_dim, cols, Init::XavierUniform);
         let heads = (0..num_heads)
             .map(|h| HeadParams {
-                w_q: params.add(
-                    format!("{name}.h{h}.wq"),
-                    init::xavier_uniform(in_dim, head_dim, rng),
-                ),
-                w_k: params.add(
-                    format!("{name}.h{h}.wk"),
-                    init::xavier_uniform(in_dim, head_dim, rng),
-                ),
-                w_v: params.add(
-                    format!("{name}.h{h}.wv"),
-                    init::xavier_uniform(in_dim, head_dim, rng),
-                ),
+                w_q: xavier(format!("{name}.h{h}.wq"), head_dim),
+                w_k: xavier(format!("{name}.h{h}.wk"), head_dim),
+                w_v: xavier(format!("{name}.h{h}.wv"), head_dim),
             })
             .collect();
-        let w_res = params.add(
-            format!("{name}.wres"),
-            init::xavier_uniform(in_dim, num_heads * head_dim, rng),
-        );
+        let w_res = xavier(format!("{name}.wres"), num_heads * head_dim);
         InteractingLayer {
             heads,
             w_res,
@@ -99,13 +86,14 @@ impl InteractingLayer {
 mod tests {
     use super::*;
     use uae_tensor::gradcheck::check_params;
-    use uae_tensor::{Matrix, Tape};
+    use uae_tensor::{Matrix, Rng, Tape};
 
     #[test]
     fn forward_shape() {
         let mut rng = Rng::seed_from_u64(1);
         let mut params = Params::new();
-        let layer = InteractingLayer::new("a", 4, 2, 3, &mut params, &mut rng);
+        let layer = InteractingLayer::new("a", 4, 2, 3, &mut params);
+        params.init(&mut rng);
         assert_eq!(layer.out_dim(), 6);
         let batch = 3;
         let fields = 5;
@@ -120,7 +108,8 @@ mod tests {
         // Changing sample 1's fields must not change sample 0's output.
         let mut rng = Rng::seed_from_u64(2);
         let mut params = Params::new();
-        let layer = InteractingLayer::new("a", 3, 1, 3, &mut params, &mut rng);
+        let layer = InteractingLayer::new("a", 3, 1, 3, &mut params);
+        params.init(&mut rng);
         let fields = 4;
         let base = Matrix::randn(2 * fields, 3, 1.0, &mut rng);
         let mut tweaked = base.clone();
@@ -146,7 +135,8 @@ mod tests {
     fn gradients_check_numerically() {
         let mut rng = Rng::seed_from_u64(3);
         let mut params = Params::new();
-        let layer = InteractingLayer::new("a", 3, 2, 2, &mut params, &mut rng);
+        let layer = InteractingLayer::new("a", 3, 2, 2, &mut params);
+        params.init(&mut rng);
         let x = Matrix::randn(2 * 3, 3, 0.7, &mut rng);
         let check = check_params(&mut params, 5e-3, |tape, params| {
             let xv = tape.input(x.clone());
@@ -164,8 +154,9 @@ mod tests {
     fn stacked_layers_gradcheck() {
         let mut rng = Rng::seed_from_u64(5);
         let mut params = Params::new();
-        let l1 = InteractingLayer::new("a1", 3, 2, 2, &mut params, &mut rng);
-        let l2 = InteractingLayer::new("a2", l1.out_dim(), 1, 3, &mut params, &mut rng);
+        let l1 = InteractingLayer::new("a1", 3, 2, 2, &mut params);
+        let l2 = InteractingLayer::new("a2", l1.out_dim(), 1, 3, &mut params);
+        params.init(&mut rng);
         let x = Matrix::randn(2 * 3, 3, 0.7, &mut rng);
         let check = check_params(&mut params, 5e-3, |tape, params| {
             let xv = tape.input(x.clone());
@@ -183,7 +174,8 @@ mod tests {
         use uae_tensor::ValueExec;
         let mut rng = Rng::seed_from_u64(6);
         let mut params = Params::new();
-        let layer = InteractingLayer::new("a", 4, 2, 3, &mut params, &mut rng);
+        let layer = InteractingLayer::new("a", 4, 2, 3, &mut params);
+        params.init(&mut rng);
         let x = Matrix::randn(3 * 5, 4, 1.0, &mut rng);
 
         let mut tape = Tape::new();

@@ -2,9 +2,7 @@
 //! WWW 2021) — two of the base recommenders in the paper's Table IV, DCN-V2
 //! being the strongest one.
 
-use uae_tensor::{Exec, Matrix, ParamId, Params, Rng};
-
-use crate::init;
+use uae_tensor::{Exec, Init, ParamId, Params};
 
 /// DCN-v1 cross layer: `x_{l+1} = x₀ · (x_lᵀ w) + b + x_l`, with a *vector*
 /// weight `w ∈ R^d` so the feature crossing is rank-1.
@@ -16,10 +14,10 @@ pub struct CrossLayerV1 {
 }
 
 impl CrossLayerV1 {
-    pub fn new(name: &str, dim: usize, params: &mut Params, rng: &mut Rng) -> Self {
+    pub fn new(name: &str, dim: usize, params: &mut Params) -> Self {
         CrossLayerV1 {
-            w: params.add(format!("{name}.w"), init::xavier_uniform(dim, 1, rng)),
-            b: params.add(format!("{name}.b"), Matrix::zeros(1, dim)),
+            w: params.register(format!("{name}.w"), dim, 1, Init::XavierUniform),
+            b: params.register(format!("{name}.b"), 1, dim, Init::Zeros),
             dim,
         }
     }
@@ -49,10 +47,10 @@ pub struct CrossLayerV2 {
 }
 
 impl CrossLayerV2 {
-    pub fn new(name: &str, dim: usize, params: &mut Params, rng: &mut Rng) -> Self {
+    pub fn new(name: &str, dim: usize, params: &mut Params) -> Self {
         CrossLayerV2 {
-            w: params.add(format!("{name}.w"), init::xavier_uniform(dim, dim, rng)),
-            b: params.add(format!("{name}.b"), Matrix::zeros(1, dim)),
+            w: params.register(format!("{name}.w"), dim, dim, Init::XavierUniform),
+            b: params.register(format!("{name}.b"), 1, dim, Init::Zeros),
             dim,
         }
     }
@@ -74,13 +72,14 @@ impl CrossLayerV2 {
 mod tests {
     use super::*;
     use uae_tensor::gradcheck::check_params;
-    use uae_tensor::Tape;
+    use uae_tensor::{Matrix, Rng, Tape};
 
     #[test]
     fn v1_with_zero_weights_is_identity() {
         let mut rng = Rng::seed_from_u64(1);
         let mut params = Params::new();
-        let layer = CrossLayerV1::new("c", 3, &mut params, &mut rng);
+        let layer = CrossLayerV1::new("c", 3, &mut params);
+        params.init(&mut rng);
         // Zero the weight; bias is already zero.
         let w = params.ids().next().unwrap();
         params.value_mut(w).fill_zero();
@@ -94,7 +93,8 @@ mod tests {
     fn v2_with_zero_weights_is_identity() {
         let mut rng = Rng::seed_from_u64(2);
         let mut params = Params::new();
-        let layer = CrossLayerV2::new("c", 3, &mut params, &mut rng);
+        let layer = CrossLayerV2::new("c", 3, &mut params);
+        params.init(&mut rng);
         let w = params.ids().next().unwrap();
         params.value_mut(w).fill_zero();
         let mut tape = Tape::new();
@@ -107,7 +107,8 @@ mod tests {
     fn v1_matches_manual_formula() {
         let mut rng = Rng::seed_from_u64(3);
         let mut params = Params::new();
-        let layer = CrossLayerV1::new("c", 2, &mut params, &mut rng);
+        let layer = CrossLayerV1::new("c", 2, &mut params);
+        params.init(&mut rng);
         let ids: Vec<_> = params.ids().collect();
         *params.value_mut(ids[0]) = Matrix::col_vector(&[0.5, -1.0]);
         *params.value_mut(ids[1]) = Matrix::row_vector(&[0.1, 0.2]);
@@ -128,8 +129,9 @@ mod tests {
     fn both_layers_gradcheck() {
         let mut rng = Rng::seed_from_u64(4);
         let mut params = Params::new();
-        let l1 = CrossLayerV1::new("c1", 3, &mut params, &mut rng);
-        let l2 = CrossLayerV2::new("c2", 3, &mut params, &mut rng);
+        let l1 = CrossLayerV1::new("c1", 3, &mut params);
+        let l2 = CrossLayerV2::new("c2", 3, &mut params);
+        params.init(&mut rng);
         let x = Matrix::randn(4, 3, 0.6, &mut rng);
         let check = check_params(&mut params, 5e-3, |tape, params| {
             let x0 = tape.input(x.clone());
@@ -148,9 +150,10 @@ mod tests {
     fn stacked_tower_gradcheck() {
         let mut rng = Rng::seed_from_u64(6);
         let mut params = Params::new();
-        let l1 = CrossLayerV1::new("t1", 4, &mut params, &mut rng);
-        let l2 = CrossLayerV2::new("t2", 4, &mut params, &mut rng);
-        let l3 = CrossLayerV1::new("t3", 4, &mut params, &mut rng);
+        let l1 = CrossLayerV1::new("t1", 4, &mut params);
+        let l2 = CrossLayerV2::new("t2", 4, &mut params);
+        let l3 = CrossLayerV1::new("t3", 4, &mut params);
+        params.init(&mut rng);
         let x = Matrix::randn(3, 4, 0.5, &mut rng);
         let check = check_params(&mut params, 5e-3, |tape, params| {
             let x0 = tape.input(x.clone());
@@ -169,8 +172,9 @@ mod tests {
         use uae_tensor::ValueExec;
         let mut rng = Rng::seed_from_u64(5);
         let mut params = Params::new();
-        let l1 = CrossLayerV1::new("c1", 3, &mut params, &mut rng);
-        let l2 = CrossLayerV2::new("c2", 3, &mut params, &mut rng);
+        let l1 = CrossLayerV1::new("c1", 3, &mut params);
+        let l2 = CrossLayerV2::new("c2", 3, &mut params);
+        params.init(&mut rng);
         let x = Matrix::randn(4, 3, 0.6, &mut rng);
 
         let mut tape = Tape::new();

@@ -9,9 +9,7 @@
 //! [`Exec`], so one implementation serves both training and tape-free
 //! scoring.
 
-use uae_tensor::{Exec, ParamId, Params, Rng};
-
-use crate::init;
+use uae_tensor::{Exec, Init, ParamId, Params};
 
 /// One embedding table per categorical field, all with the same dimension.
 #[derive(Debug, Clone)]
@@ -23,20 +21,16 @@ pub struct FieldEmbeddings {
 
 impl FieldEmbeddings {
     /// Registers tables for fields with the given cardinalities.
-    pub fn new(
-        name: &str,
-        cardinalities: &[usize],
-        dim: usize,
-        params: &mut Params,
-        rng: &mut Rng,
-    ) -> Self {
+    pub fn new(name: &str, cardinalities: &[usize], dim: usize, params: &mut Params) -> Self {
         let tables = cardinalities
             .iter()
             .enumerate()
             .map(|(f, &card)| {
-                params.add(
+                params.register(
                     format!("{name}.field{f}"),
-                    init::embedding_init(card.max(1), dim, rng),
+                    card.max(1),
+                    dim,
+                    Init::Embedding,
                 )
             })
             .collect();
@@ -117,13 +111,14 @@ impl FieldEmbeddings {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uae_tensor::{Matrix, Tape};
+    use uae_tensor::{Matrix, Rng, Tape};
 
     #[test]
     fn concat_layout_is_field_major_per_sample() {
         let mut rng = Rng::seed_from_u64(1);
         let mut params = Params::new();
-        let emb = FieldEmbeddings::new("e", &[3, 2], 2, &mut params, &mut rng);
+        let emb = FieldEmbeddings::new("e", &[3, 2], 2, &mut params);
+        params.init(&mut rng);
         assert_eq!(emb.num_fields(), 2);
         assert_eq!(emb.concat_dim(), 4);
         // Overwrite tables with recognisable values.
@@ -141,7 +136,8 @@ mod tests {
     fn gradient_flows_only_to_gathered_rows() {
         let mut rng = Rng::seed_from_u64(2);
         let mut params = Params::new();
-        let emb = FieldEmbeddings::new("e", &[4], 3, &mut params, &mut rng);
+        let emb = FieldEmbeddings::new("e", &[4], 3, &mut params);
+        params.init(&mut rng);
         let table = params.ids().next().unwrap();
         let mut tape = Tape::new();
         let out = emb.forward_fields(&mut tape, &params, &[vec![1, 3]]);
@@ -161,7 +157,8 @@ mod tests {
         // row b·F+f — the packing AutoInt relies on.
         let mut rng = Rng::seed_from_u64(3);
         let mut params = Params::new();
-        let emb = FieldEmbeddings::new("e", &[5, 5, 5], 2, &mut params, &mut rng);
+        let emb = FieldEmbeddings::new("e", &[5, 5, 5], 2, &mut params);
+        params.init(&mut rng);
         let ids = vec![vec![0, 1], vec![2, 3], vec![4, 0]];
         let mut tape = Tape::new();
         let cat = emb.forward_concat(&mut tape, &params, &ids);

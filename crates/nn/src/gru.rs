@@ -5,9 +5,7 @@
 //! All recurrence math is generic over [`Exec`]: the same step functions run
 //! on the training tape and tape-free for serving, bit-identically.
 
-use uae_tensor::{Exec, GruGates, GruPacked, Matrix, ParamId, Params, Rng};
-
-use crate::init;
+use uae_tensor::{Exec, GruGates, GruPacked, Init, Matrix, ParamId, Params};
 
 /// A single GRU cell with input dimension `in_dim` and state size `hidden`.
 ///
@@ -35,29 +33,27 @@ pub struct GruCell {
 }
 
 impl GruCell {
-    pub fn new(
-        name: &str,
-        in_dim: usize,
-        hidden: usize,
-        params: &mut Params,
-        rng: &mut Rng,
-    ) -> Self {
-        let gate = |suffix: &str, params: &mut Params, rng: &mut Rng| {
+    pub fn new(name: &str, in_dim: usize, hidden: usize, params: &mut Params) -> Self {
+        let mut gate = |suffix: &str| {
             (
-                params.add(
+                params.register(
                     format!("{name}.w_{suffix}"),
-                    init::xavier_uniform(in_dim, hidden, rng),
+                    in_dim,
+                    hidden,
+                    Init::XavierUniform,
                 ),
-                params.add(
+                params.register(
                     format!("{name}.u_{suffix}"),
-                    init::xavier_uniform(hidden, hidden, rng),
+                    hidden,
+                    hidden,
+                    Init::XavierUniform,
                 ),
-                params.add(format!("{name}.b_{suffix}"), Matrix::zeros(1, hidden)),
+                params.register(format!("{name}.b_{suffix}"), 1, hidden, Init::Zeros),
             )
         };
-        let (w_r, u_r, b_r) = gate("r", params, rng);
-        let (w_z, u_z, b_z) = gate("z", params, rng);
-        let (w_n, u_n, b_n) = gate("n", params, rng);
+        let (w_r, u_r, b_r) = gate("r");
+        let (w_z, u_z, b_z) = gate("z");
+        let (w_n, u_n, b_n) = gate("n");
         GruCell {
             w_r,
             u_r,
@@ -253,13 +249,14 @@ pub struct GruVars<V> {
 mod tests {
     use super::*;
     use uae_tensor::gradcheck::check_params;
-    use uae_tensor::{Tape, Var};
+    use uae_tensor::{Rng, Tape, Var};
 
     #[test]
     fn step_shapes() {
         let mut rng = Rng::seed_from_u64(1);
         let mut params = Params::new();
-        let cell = GruCell::new("g", 3, 4, &mut params, &mut rng);
+        let cell = GruCell::new("g", 3, 4, &mut params);
+        params.init(&mut rng);
         let mut tape = Tape::new();
         let x = tape.input(Matrix::randn(5, 3, 1.0, &mut rng));
         let h0 = cell.zero_state(&mut tape, 5);
@@ -272,7 +269,8 @@ mod tests {
         // GRU state is a convex combination of tanh outputs, so |h| ≤ 1.
         let mut rng = Rng::seed_from_u64(2);
         let mut params = Params::new();
-        let cell = GruCell::new("g", 2, 3, &mut params, &mut rng);
+        let cell = GruCell::new("g", 2, 3, &mut params);
+        params.init(&mut rng);
         let mut tape = Tape::new();
         let mut h = cell.zero_state(&mut tape, 4);
         for _ in 0..20 {
@@ -286,7 +284,8 @@ mod tests {
     fn masked_step_freezes_padded_rows() {
         let mut rng = Rng::seed_from_u64(3);
         let mut params = Params::new();
-        let cell = GruCell::new("g", 2, 3, &mut params, &mut rng);
+        let cell = GruCell::new("g", 2, 3, &mut params);
+        params.init(&mut rng);
         let mut tape = Tape::new();
         let x0 = tape.input(Matrix::randn(2, 2, 1.0, &mut rng));
         let h0 = cell.zero_state(&mut tape, 2);
@@ -304,7 +303,8 @@ mod tests {
     fn unroll_returns_one_state_per_step() {
         let mut rng = Rng::seed_from_u64(4);
         let mut params = Params::new();
-        let cell = GruCell::new("g", 2, 3, &mut params, &mut rng);
+        let cell = GruCell::new("g", 2, 3, &mut params);
+        params.init(&mut rng);
         let mut tape = Tape::new();
         let xs: Vec<Var> = (0..5)
             .map(|_| tape.input(Matrix::randn(3, 2, 1.0, &mut rng)))
@@ -323,7 +323,8 @@ mod tests {
     fn gru_gradients_check_numerically_through_two_steps() {
         let mut rng = Rng::seed_from_u64(5);
         let mut params = Params::new();
-        let cell = GruCell::new("g", 2, 3, &mut params, &mut rng);
+        let cell = GruCell::new("g", 2, 3, &mut params);
+        params.init(&mut rng);
         let x0 = Matrix::randn(3, 2, 0.8, &mut rng);
         let x1 = Matrix::randn(3, 2, 0.8, &mut rng);
         let mask = Matrix::col_vector(&[1.0, 1.0, 0.0]);

@@ -26,10 +26,9 @@
 //! and a [`HashConfig`] in the model config flips a field bank from dense
 //! to hashed without touching any forward pass.
 
-use uae_tensor::{Exec, Matrix, ParamId, Params, Rng};
+use uae_tensor::{Exec, Init, Matrix, ParamId, Params};
 
 use crate::embedding::FieldEmbeddings;
-use crate::init;
 
 /// Default hash seed. **Part of the `.uaem` format contract**: training and
 /// serving must bucket identically, so this is a fixed constant, not a
@@ -84,9 +83,8 @@ impl HashConfig {
 /// let mut params = Params::new();
 /// let mut rng = Rng::seed_from_u64(7);
 /// // One field of 10_000 categories squeezed into 256 buckets, 2 hashes.
-/// let emb = HashedEmbedding::new(
-///     "e", &[10_000], 8, HashConfig::new(256, 2), &mut params, &mut rng,
-/// );
+/// let emb = HashedEmbedding::new("e", &[10_000], 8, HashConfig::new(256, 2), &mut params);
+/// params.init(&mut rng);
 /// assert_eq!(emb.table_rows(), &[256]);
 /// // 2 hashes × sign bits: the full-signature space is (256·2)² ≈ 262k,
 /// // so 10k categories collide far less than the 1/256 a single hash gives.
@@ -119,7 +117,6 @@ impl HashedEmbedding {
         dim: usize,
         config: HashConfig,
         params: &mut Params,
-        rng: &mut Rng,
     ) -> Self {
         assert!(config.buckets > 0, "HashConfig.buckets must be positive");
         let config = HashConfig {
@@ -133,12 +130,7 @@ impl HashedEmbedding {
         let tables = rows
             .iter()
             .enumerate()
-            .map(|(f, &r)| {
-                params.add(
-                    format!("{name}.hashed{f}"),
-                    init::embedding_init(r, dim, rng),
-                )
-            })
+            .map(|(f, &r)| params.register(format!("{name}.hashed{f}"), r, dim, Init::Embedding))
             .collect();
         let mut emb = HashedEmbedding {
             tables,
@@ -332,20 +324,12 @@ impl EmbeddingBank {
         dim: usize,
         hash: Option<HashConfig>,
         params: &mut Params,
-        rng: &mut Rng,
     ) -> Self {
         match hash {
-            None => {
-                EmbeddingBank::Dense(FieldEmbeddings::new(name, cardinalities, dim, params, rng))
+            None => EmbeddingBank::Dense(FieldEmbeddings::new(name, cardinalities, dim, params)),
+            Some(cfg) => {
+                EmbeddingBank::Hashed(HashedEmbedding::new(name, cardinalities, dim, cfg, params))
             }
-            Some(cfg) => EmbeddingBank::Hashed(HashedEmbedding::new(
-                name,
-                cardinalities,
-                dim,
-                cfg,
-                params,
-                rng,
-            )),
         }
     }
 
@@ -446,7 +430,7 @@ impl EmbeddingBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uae_tensor::{Tape, ValueExec};
+    use uae_tensor::{Rng, Tape, ValueExec};
 
     fn build(buckets: usize, k: usize) -> (HashedEmbedding, Params) {
         let mut rng = Rng::seed_from_u64(5);
@@ -457,8 +441,8 @@ mod tests {
             4,
             HashConfig::new(buckets, k),
             &mut params,
-            &mut rng,
         );
+        params.init(&mut rng);
         (emb, params)
     }
 
@@ -537,15 +521,15 @@ mod tests {
     fn bank_encode_full_dense_vs_hashed_shapes_match() {
         let mut rng = Rng::seed_from_u64(9);
         let mut params = Params::new();
-        let dense_bank = EmbeddingBank::new("d", &[100, 20], 4, None, &mut params, &mut rng);
+        let dense_bank = EmbeddingBank::new("d", &[100, 20], 4, None, &mut params);
         let hashed_bank = EmbeddingBank::new(
             "h",
             &[100, 20],
             4,
             Some(HashConfig::new(32, 2)),
             &mut params,
-            &mut rng,
         );
+        params.init(&mut rng);
         let ids = vec![vec![0, 99], vec![19, 3]];
         let dense_block = Matrix::from_vec(2, 3, vec![0.1; 6]);
         let mut vx = ValueExec::new();

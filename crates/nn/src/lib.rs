@@ -11,14 +11,17 @@
 //! * [`attention::InteractingLayer`] — AutoInt's field self-attention.
 //! * [`cross::CrossLayerV1`] / [`cross::CrossLayerV2`] — DCN / DCN-V2.
 //! * [`optim::Adam`] / [`optim::Sgd`] — optimizers.
-//! * [`init`] — Xavier / He / embedding initialisation.
+//!
+//! Every constructor registers its parameters' names, shapes and
+//! [`Init`](uae_tensor::Init) schemes and draws nothing; `Params::init`
+//! draws the values for training and `Params::bind` points them at stored
+//! weights for serving.
 
 pub mod attention;
 pub mod cross;
 pub mod embedding;
 pub mod gru;
 pub mod hashed;
-pub mod init;
 pub mod linear;
 pub mod optim;
 

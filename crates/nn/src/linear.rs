@@ -7,9 +7,7 @@
 //! [`Matrix`](uae_tensor::Matrix) values. Both engines dispatch through the
 //! same kernels, so the two paths are bit-identical by construction.
 
-use uae_tensor::{ActKind, Exec, Params, Rng};
-
-use crate::init;
+use uae_tensor::{ActKind, Exec, Init, Params};
 
 /// Activation applied between (or after) linear layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,40 +51,21 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Registers a new layer's parameters in `params`.
-    pub fn new(
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-        params: &mut Params,
-        rng: &mut Rng,
-    ) -> Self {
-        let w = params.add(
-            format!("{name}.w"),
-            init::xavier_uniform(in_dim, out_dim, rng),
-        );
-        let b = params.add(format!("{name}.b"), uae_tensor::Matrix::zeros(1, out_dim));
-        Linear {
-            w,
-            b,
-            in_dim,
-            out_dim,
-        }
+    /// Registers a new layer's parameters in `params`, with Xavier
+    /// initialisation.
+    pub fn new(name: &str, in_dim: usize, out_dim: usize, params: &mut Params) -> Self {
+        Linear::with_init(name, in_dim, out_dim, Init::XavierUniform, params)
     }
 
     /// As [`Linear::new`] but with He initialisation (use before ReLU).
-    pub fn new_he(
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-        params: &mut Params,
-        rng: &mut Rng,
-    ) -> Self {
-        let w = params.add(format!("{name}.w"), init::he_normal(in_dim, out_dim, rng));
-        let b = params.add(format!("{name}.b"), uae_tensor::Matrix::zeros(1, out_dim));
+    pub fn new_he(name: &str, in_dim: usize, out_dim: usize, params: &mut Params) -> Self {
+        Linear::with_init(name, in_dim, out_dim, Init::HeNormal, params)
+    }
+
+    fn with_init(name: &str, in_dim: usize, out_dim: usize, w: Init, params: &mut Params) -> Self {
         Linear {
-            w,
-            b,
+            w: params.register(format!("{name}.w"), in_dim, out_dim, w),
+            b: params.register(format!("{name}.b"), 1, out_dim, Init::Zeros),
             in_dim,
             out_dim,
         }
@@ -143,7 +122,6 @@ pub struct Mlp {
 
 impl Mlp {
     /// Builds an MLP mapping `in_dim` through `hidden` to `out_dim`.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: &str,
         in_dim: usize,
@@ -152,26 +130,19 @@ impl Mlp {
         hidden_activation: Activation,
         output_activation: Activation,
         params: &mut Params,
-        rng: &mut Rng,
     ) -> Self {
         let mut layers = Vec::with_capacity(hidden.len() + 1);
         let mut prev = in_dim;
         for (i, &h) in hidden.iter().enumerate() {
             let layer = if hidden_activation == Activation::Relu {
-                Linear::new_he(&format!("{name}.{i}"), prev, h, params, rng)
+                Linear::new_he(&format!("{name}.{i}"), prev, h, params)
             } else {
-                Linear::new(&format!("{name}.{i}"), prev, h, params, rng)
+                Linear::new(&format!("{name}.{i}"), prev, h, params)
             };
             layers.push(layer);
             prev = h;
         }
-        layers.push(Linear::new(
-            &format!("{name}.out"),
-            prev,
-            out_dim,
-            params,
-            rng,
-        ));
+        layers.push(Linear::new(&format!("{name}.out"), prev, out_dim, params));
         Mlp {
             layers,
             hidden_activation,
@@ -242,13 +213,14 @@ pub struct MlpVars<V> {
 mod tests {
     use super::*;
     use uae_tensor::gradcheck::check_params;
-    use uae_tensor::{Matrix, Params, Tape};
+    use uae_tensor::{Matrix, Params, Rng, Tape};
 
     #[test]
     fn linear_forward_shape_and_bias() {
         let mut rng = Rng::seed_from_u64(1);
         let mut params = Params::new();
-        let lin = Linear::new("l", 3, 2, &mut params, &mut rng);
+        let lin = Linear::new("l", 3, 2, &mut params);
+        params.init(&mut rng);
         assert_eq!((lin.in_dim(), lin.out_dim()), (3, 2));
         // Set a recognisable bias.
         let b = params.ids().nth(1).unwrap();
@@ -278,8 +250,8 @@ mod tests {
             Activation::Relu,
             Activation::None,
             &mut params,
-            &mut rng,
         );
+        params.init(&mut rng);
         assert_eq!(mlp.in_dim(), 5);
         assert_eq!(mlp.out_dim(), 1);
         let mut tape = Tape::new();
@@ -300,8 +272,8 @@ mod tests {
             Activation::Tanh,
             Activation::None,
             &mut params,
-            &mut rng,
         );
+        params.init(&mut rng);
         let x = Matrix::randn(6, 3, 0.8, &mut rng);
         let pos: Vec<f32> = (0..6).map(|i| (i % 2) as f32).collect();
         let neg: Vec<f32> = pos.iter().map(|p| 1.0 - p).collect();
@@ -325,8 +297,8 @@ mod tests {
             Activation::Relu,
             Activation::Sigmoid,
             &mut params,
-            &mut rng,
         );
+        params.init(&mut rng);
         let mut tape = Tape::new();
         let x = tape.input(Matrix::randn(10, 2, 5.0, &mut rng));
         let y = mlp.forward(&mut tape, &params, &x);

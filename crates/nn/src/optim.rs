@@ -48,8 +48,8 @@ impl Sgd {
             self.velocity = params
                 .ids()
                 .map(|id| {
-                    let v = params.value(id);
-                    Matrix::zeros(v.rows(), v.cols())
+                    let (rows, cols) = params.shape(id);
+                    Matrix::zeros(rows, cols)
                 })
                 .collect();
         }
@@ -61,11 +61,11 @@ impl Optimizer for Sgd {
         self.ensure_state(params);
         for id in params.ids().collect::<Vec<_>>() {
             if self.momentum > 0.0 {
+                let (value, grad) = params.value_and_grad_mut(id);
                 let vel = &mut self.velocity[id.index()];
                 vel.scale_in_place(self.momentum);
-                vel.add_scaled(params.grad(id), 1.0);
-                let update = vel.clone();
-                params.value_mut(id).add_scaled(&update, -self.lr);
+                vel.add_scaled(grad, 1.0);
+                value.add_scaled(vel, -self.lr);
             } else {
                 let (value, grad) = params.value_and_grad_mut(id);
                 value.add_scaled(grad, -self.lr);
@@ -130,8 +130,8 @@ impl Adam {
                 params
                     .ids()
                     .map(|id| {
-                        let v = params.value(id);
-                        Matrix::zeros(v.rows(), v.cols())
+                        let (rows, cols) = params.shape(id);
+                        Matrix::zeros(rows, cols)
                     })
                     .collect::<Vec<_>>()
             };
@@ -168,16 +168,15 @@ impl Optimizer for Adam {
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for id in params.ids().collect::<Vec<_>>() {
             let i = id.index();
-            let g = params.grad(id).clone();
+            let (value, g) = params.value_and_grad_mut(id);
             let m = &mut self.m[i];
             m.scale_in_place(self.beta1);
-            m.add_scaled(&g, 1.0 - self.beta1);
+            m.add_scaled(g, 1.0 - self.beta1);
             let v = &mut self.v[i];
             v.scale_in_place(self.beta2);
             for (vj, gj) in v.data_mut().iter_mut().zip(g.data()) {
                 *vj += (1.0 - self.beta2) * gj * gj;
             }
-            let value = params.value_mut(id);
             let lr = self.lr;
             let eps = self.eps;
             for ((p, &mj), &vj) in value

@@ -23,14 +23,8 @@ fn lookup(
 ) -> Vec<f32> {
     let mut rng = Rng::seed_from_u64(init_seed);
     let mut params = Params::new();
-    let emb = HashedEmbedding::new(
-        "p",
-        cards,
-        dim,
-        HashConfig::new(buckets, k),
-        &mut params,
-        &mut rng,
-    );
+    let emb = HashedEmbedding::new("p", cards, dim, HashConfig::new(buckets, k), &mut params);
+    params.init(&mut rng);
     let mut exec = ValueExec::new();
     let ids_by_field: Vec<Vec<usize>> = cards
         .iter()
@@ -78,8 +72,8 @@ proptest! {
             let mut rng = Rng::seed_from_u64(seed);
             let mut params = Params::new();
             let emb = HashedEmbedding::new(
-                "p", &cards, 2, HashConfig::new(buckets, k), &mut params, &mut rng,
-            );
+                "p", &cards, 2, HashConfig::new(buckets, k), &mut params,);
+            params.init(&mut rng);
             emb.collision_rates().to_vec()
         };
         prop_assert_eq!(rates(seed_a), rates(seed_b));

@@ -320,10 +320,11 @@ impl ParamArena {
     }
 }
 
-/// Points each parameter of `params` at its slice of `arena`'s table
-/// `table`. Validates every entry positionally by name and shape before
-/// touching any value, then swaps in zero-copy [`Matrix::from_mmap`] views
-/// and zeroes gradients.
+/// Points each parameter of a freshly registered `params` at its slice of
+/// `arena`'s table `table`. Validates every entry positionally by name and
+/// shape before binding any value, then binds zero-copy
+/// [`Matrix::from_mmap`] views: nothing is drawn, copied or allocated per
+/// scalar, and no gradient buffer exists.
 pub(crate) fn load_mapped(
     params: &mut Params,
     arena: &ParamArena,
@@ -336,10 +337,9 @@ pub(crate) fn load_mapped(
             found: entries.len(),
         }));
     }
-    let ids: Vec<_> = params.ids().collect();
-    for (id, e) in ids.iter().zip(entries) {
-        let expected = params.value(*id).shape();
-        if (e.rows, e.cols) != expected || params.name(*id) != e.name {
+    for (id, e) in params.ids().zip(entries) {
+        let expected = params.shape(id);
+        if (e.rows, e.cols) != expected || params.name(id) != e.name {
             return Err(UaeError::Decode(DecodeError::ShapeMismatch {
                 name: e.name.clone(),
                 expected,
@@ -347,18 +347,16 @@ pub(crate) fn load_mapped(
             }));
         }
     }
-    for (id, e) in ids.iter().zip(entries) {
-        let m = Matrix::from_mmap(
+    params.bind(|id| {
+        let e = &entries[id.index()];
+        Matrix::from_mmap(
             Arc::clone(&arena.region),
             arena.offset + e.offset,
             e.rows,
             e.cols,
         )
-        .map_err(|msg| UaeError::Checkpoint(CheckpointError::Corrupt(msg)))?;
-        *params.value_mut(*id) = m;
-    }
-    params.zero_grads();
-    Ok(())
+        .map_err(|msg| UaeError::Checkpoint(CheckpointError::Corrupt(msg)))
+    })
 }
 
 /// Embedding rows `schema` implies; hashed models cap every table at
@@ -497,10 +495,11 @@ impl FrozenModel {
             .map(|(_, b)| b.as_slice())
     }
 
-    /// Rebuilds the [`Uae`] model and points both parameter sets at the
-    /// arena. The loader validates every tensor name and shape against the
-    /// freshly built architecture, so a snapshot exported from a different
-    /// schema or width fails with a typed [`UaeError::Decode`].
+    /// Rebuilds the [`Uae`] model's structure and points both parameter
+    /// sets at the arena, drawing nothing. The loader validates every tensor
+    /// name and shape against the registered architecture, so a snapshot
+    /// exported from a different schema or width fails with a typed
+    /// [`UaeError::Decode`].
     pub fn build(&self) -> Result<Uae, UaeError> {
         let e = self.embed_dim as u64;
         let h = self.gru_hidden as u64;
@@ -521,15 +520,9 @@ impl FrozenModel {
             hash_k: self.hash_k,
             ..UaeConfig::default()
         };
-        // The seed only affects initial values, which the load replaces.
-        let mut uae = if self.sequential {
-            Uae::new(&self.schema, cfg)
-        } else {
-            Uae::new_sar(&self.schema, cfg)
-        };
-        load_mapped(uae.attention_params_mut(), &self.arena, 0)?;
-        load_mapped(uae.propensity_params_mut(), &self.arena, 1)?;
-        Ok(uae)
+        Uae::bind(&self.schema, cfg, self.sequential, |params, table| {
+            load_mapped(params, &self.arena, table)
+        })
     }
 
     /// Serializes to `.uaem` bytes: header with per-parameter (name, shape,

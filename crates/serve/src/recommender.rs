@@ -22,7 +22,7 @@ use uae_data::{FeatureSchema, FlatData};
 use uae_models::{ModelConfig, ModelKind, Recommender};
 use uae_runtime::checkpoint::{write_atomic, ByteReader, CheckpointError};
 use uae_runtime::UaeError;
-use uae_tensor::{sigmoid, MmapRegion, Params, Rng};
+use uae_tensor::{sigmoid, MmapRegion, Params};
 
 use crate::model::{
     cat_rows, check_header, check_plausible, copy_bytes, copy_file, get_schema, load_mapped, named,
@@ -117,18 +117,16 @@ impl FrozenRecommender {
             .saturating_add(head)
     }
 
-    /// Rebuilds the model and points its parameters at the arena. The
-    /// loader validates every tensor name and shape against the freshly
-    /// built architecture, so a snapshot exported from a different schema
-    /// or config fails with a typed [`UaeError::Decode`].
+    /// Rebuilds the model's structure and points its parameters at the
+    /// arena, drawing nothing. The loader validates every tensor name and
+    /// shape against the registered architecture, so a snapshot exported
+    /// from a different schema or config fails with a typed
+    /// [`UaeError::Decode`].
     pub fn build(&self) -> Result<(Box<dyn Recommender + Send + Sync>, Params), UaeError> {
         check_plausible(self.implied_scalars(), &self.arena)?;
-        // The seed only affects initial values, which the load replaces.
-        let (model, mut params) =
-            self.kind
-                .build(&self.schema, &self.config, &mut Rng::seed_from_u64(0));
-        load_mapped(&mut params, &self.arena, 0)?;
-        Ok((model, params))
+        self.kind.bind(&self.schema, &self.config, |params| {
+            load_mapped(params, &self.arena, 0)
+        })
     }
 
     /// Serializes to `.uaem` bytes (variant 2), in the same header + arena
@@ -331,6 +329,7 @@ mod tests {
     use super::*;
     use uae_data::{generate, SimConfig};
     use uae_models::{predict, train, LabelMode, TrainConfig};
+    use uae_tensor::Rng;
 
     fn trained(kind: ModelKind) -> (FlatData, FrozenRecommender, Params) {
         let ds = generate(&SimConfig::tiny(), 9);

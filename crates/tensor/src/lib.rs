@@ -14,7 +14,8 @@
 //!   scratch-buffer pool recycling matrix allocations across tape steps.
 //! * [`rng::Rng`] — deterministic xoshiro256++ PRNG; the sole randomness
 //!   source in the workspace.
-//! * [`params::Params`] — arena of trainable parameters + gradient buffers.
+//! * [`params::Params`] — arena of trainable parameters: registered shapes
+//!   and init schemes, values, and gradients once training needs them.
 //! * [`tape::Tape`] — eager autodiff tape; one fused
 //!   [`tape::Tape::weighted_bce`] op expresses every risk function in the
 //!   paper as per-example positive/negative weights.
@@ -75,7 +76,7 @@ pub use exec::{
 };
 pub use matrix::Matrix;
 pub use mmap::MmapRegion;
-pub use params::{ParamId, Params};
+pub use params::{Init, ParamId, Params};
 pub use rng::{Rng, RngState};
 pub use serialize::{decode_params, load_params, save_params, DecodeError};
 pub use tape::{sigmoid, softplus, Tape, Var};

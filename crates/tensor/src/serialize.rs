@@ -157,7 +157,7 @@ pub fn load_params(params: &mut Params, bytes: &[u8]) -> Result<(), DecodeError>
         });
     }
     for (id, record) in params.ids().collect::<Vec<_>>().into_iter().zip(&decoded) {
-        let expected = params.value(id).shape();
+        let expected = params.shape(id);
         if record.value.shape() != expected || params.name(id) != record.name {
             return Err(DecodeError::ShapeMismatch {
                 name: record.name.clone(),

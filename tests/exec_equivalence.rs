@@ -31,7 +31,8 @@ fn uae_networks_match_bitwise_under_both_engines() {
     let mut params_g = Params::new();
     let g = AttentionNet::new("g", &ds.schema, 4, 8, &[8], None, &mut params_g, &mut rng);
     let mut params_h = Params::new();
-    let h = PropensityNet::new("h", 8, 6, &[8], &mut params_h, &mut rng);
+    let h = PropensityNet::new("h", 8, 6, &[8], &mut params_h);
+    params_h.init(&mut rng);
 
     for threads in [1usize, 4] {
         with_num_threads(threads, || {
@@ -73,7 +74,8 @@ fn local_propensity_matches_bitwise_under_both_engines() {
     let batches = infer_seq_batches(&ds, &sessions, 8, None);
     let mut rng = Rng::seed_from_u64(6);
     let mut params = Params::new();
-    let net = LocalPropensityNet::new("sar", &ds.schema, 4, &[8], None, &mut params, &mut rng);
+    let net = LocalPropensityNet::new("sar", &ds.schema, 4, &[8], None, &mut params);
+    params.init(&mut rng);
     for (threads, fused) in [(1usize, false), (1, true), (4, false), (4, true)] {
         with_num_threads(threads, || {
             for b in &batches {
@@ -161,7 +163,8 @@ fn fusion_is_bitwise_transparent_at_ragged_shapes() {
             &mut rng,
         );
         let mut params_h = Params::new();
-        let h = PropensityNet::new("h", hidden, 5, &[7], &mut params_h, &mut rng);
+        let h = PropensityNet::new("h", hidden, 5, &[7], &mut params_h);
+        params_h.init(&mut rng);
         let shapes: [(&[usize], Option<usize>); 3] =
             [(&all, None), (&all[..1], Some(1)), (&[], None)];
         for (sessions, max_len) in shapes {
