@@ -306,7 +306,11 @@ print(f'docs gate OK: {len(docs)} files link-checked, '
       f'no knob table in {len(tables) - 1} other markdown files')
 "
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+# Lint the workspace and the benchmark package (its own manifest, so the
+# workspace run does not reach it).
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --offline --workspace --all-targets -- -D warnings
+echo "==> cargo clippy (benchmark package) -- -D warnings"
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 echo "CI OK"

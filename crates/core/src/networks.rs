@@ -5,7 +5,8 @@
 //! * [`PropensityNet`] (`h`, parameters Θ_h): GRU₂ over the observed feedback
 //!   history `e_{t-1}` followed by MLP₂ over `z₁(x_t) ⊕ z₂(e_{t-1}) ⊕
 //!   e_{t-1}` → propensity logit per step. In Algorithm 1 the propensity
-//!   phase optimises Θ_h only, so `z₁` is *detached* before entering MLP₂.
+//!   phase optimises Θ_h only: `g` runs tape-free there and `z₁` enters
+//!   MLP₂ as constant leaves, so no gradient reaches Θ_g.
 //! * [`LocalPropensityNet`]: the SAR baseline's propensity head — an MLP over
 //!   the *current* features only (no feedback history), implementing the
 //!   classical local-feature labelling assumption the paper argues against.
@@ -174,23 +175,23 @@ impl PropensityNet {
         PropensityNet { gru, head }
     }
 
-    /// Forward over a padded batch. `z1_detached[t]` must be the attention
-    /// representations *detached* via [`Exec::detach`] (Θ_g is frozen in the
-    /// propensity phase of Algorithm 1; detaching is a no-op on plain
-    /// values).
+    /// Forward over a padded batch. `z1[t]` are the attention network's
+    /// `batch × hidden` representations. To train Θ_h alone (the propensity
+    /// phase of Algorithm 1, where Θ_g is frozen), pass them as constant
+    /// leaves ([`Exec::input`]) so no gradient flows back into `g`.
     pub fn forward<E: Exec>(
         &self,
         exec: &mut E,
         params: &Params,
         batch: &SeqBatch,
-        z1_detached: &[E::V],
+        z1: &[E::V],
     ) -> Vec<E::V> {
-        assert_eq!(z1_detached.len(), batch.steps);
+        assert_eq!(z1.len(), batch.steps);
         let gru_vars = self.gru.param_vars(exec, params);
         let head_vars = self.head.param_vars(exec, params);
         let mut h = self.gru.zero_state(exec, batch.batch);
         let mut logits = Vec::with_capacity(batch.steps);
-        for (t, z1) in z1_detached.iter().enumerate() {
+        for (t, z1) in z1.iter().enumerate() {
             let prev_e = exec.input(Matrix::col_vector(&batch.prev_e[t]));
             let mask = exec.input(Matrix::col_vector(&batch.mask[t]));
             h = self
@@ -304,9 +305,16 @@ mod tests {
 
         let mut tape = Tape::new();
         let gf = g.forward(&mut tape, &params_g, &b);
-        // Detach z1: re-enter values as constants.
-        let z1_detached: Vec<Var> = gf.z1.iter().map(|z| Exec::detach(&mut tape, z)).collect();
-        let logits = h.forward(&mut tape, &params_h, &b, &z1_detached);
+        // z1 re-enters as constant leaves, as in the propensity phase.
+        let z1: Vec<Var> = gf
+            .z1
+            .iter()
+            .map(|&z| {
+                let v = tape.value(z).clone();
+                tape.input(v)
+            })
+            .collect();
+        let logits = h.forward(&mut tape, &params_h, &b, &z1);
         assert_eq!(logits.len(), b.steps);
         // Sum all propensity logits and backprop into Θ_h only.
         let mut total = tape.sum_all(logits[0]);

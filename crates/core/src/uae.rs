@@ -1,6 +1,8 @@
 //! UAE: the Unbiased Attention Estimator with alternating optimization
 //! (Algorithm 1 of the paper).
 
+use std::sync::mpsc;
+
 use uae_data::{seq_batches, Dataset, SeqBatch};
 use uae_nn::{Adam, Optimizer};
 use uae_runtime::checkpoint::{ByteReader, ByteWriter, CheckpointError, TrainSnapshot};
@@ -104,6 +106,201 @@ pub(crate) enum PropensityHead {
     /// Single-network estimators (PN, NDB, ideal, oracle, rel-MF): no
     /// propensity model is trained at all.
     None,
+}
+
+impl PropensityHead {
+    /// `true` when the head reads the attention representations `z₁`.
+    fn reads_z1(&self) -> bool {
+        matches!(self, PropensityHead::Sequential(_))
+    }
+
+    /// Forward of the head with parameters `params` (Θ_h). `z1` is read
+    /// only by the sequential head, as is: on the tape, pass constant
+    /// leaves to keep gradient out of Θ_g. Only reachable when a head
+    /// exists: the fit loop consults the estimator's `PhaseInputs` before
+    /// calling, and single-network estimators never request p̂.
+    fn logits<E: Exec>(
+        &self,
+        exec: &mut E,
+        params: &Params,
+        batch: &SeqBatch,
+        z1: &[E::V],
+    ) -> Vec<E::V> {
+        match self {
+            PropensityHead::Sequential(net) => net.forward(exec, params, batch, z1),
+            PropensityHead::Local(net) => net.forward(exec, params, batch),
+            PropensityHead::None => {
+                panic!("a single-network estimator has no propensity head")
+            }
+        }
+    }
+}
+
+/// σ of per-step logits as a `[t][i]` grid.
+fn probs_grid<E: Exec>(exec: &E, logits: &[E::V]) -> WeightGrid {
+    logits
+        .iter()
+        .map(|l| exec.value(l).data().iter().map(|&z| sigmoid(z)).collect())
+        .collect()
+}
+
+/// Backpropagates `loss` into `params`, clips the gradient norm to
+/// `grad_clip` and takes one `opt` step; returns the loss. With `guard` set,
+/// finiteness sentinels run on the loss (before backward) and on the
+/// gradient norm (before the optimizer step), so a tripped sentinel leaves
+/// the parameters untouched.
+fn descend(
+    tape: &mut Tape,
+    loss: Var,
+    params: &mut Params,
+    opt: &mut Adam,
+    grad_clip: Option<f32>,
+    guard: bool,
+) -> Result<f64, Anomaly> {
+    let value = tape.value(loss).item() as f64;
+    if guard {
+        sentinel::check_loss(value)?;
+    }
+    params.zero_grads();
+    tape.backward(loss, params);
+    let norm = match grad_clip {
+        Some(c) => params.clip_grad_norm(c),
+        None if guard => params.grad_norm(),
+        None => 0.0,
+    };
+    if guard {
+        sentinel::check_grad_norm(norm)?;
+    }
+    opt.step(params);
+    Ok(value)
+}
+
+/// What one propensity-phase step reads of Θ_g, computed tape-free. Θ_g is
+/// fixed for the whole phase, so these are constants of the step.
+struct GOutputs {
+    /// α̂, when the estimator's propensity weights read it.
+    alpha_hat: Option<WeightGrid>,
+    /// `z₁` per step, when the head reads it (empty otherwise).
+    z1: Vec<Matrix>,
+}
+
+impl GOutputs {
+    /// Θ_g's tape-free forward on `batch`, keeping what the phase reads:
+    /// α̂ when `alpha_hat`, `z₁` when `z1`.
+    fn compute(
+        g: &AttentionNet,
+        params_g: &Params,
+        batch: &SeqBatch,
+        alpha_hat: bool,
+        z1: bool,
+    ) -> Self {
+        let vx = &mut ValueExec::new();
+        let gf = g.forward(vx, params_g, batch);
+        GOutputs {
+            alpha_hat: alpha_hat.then(|| probs_grid(vx, &gf.logits)),
+            z1: if z1 { gf.z1 } else { Vec::new() },
+        }
+    }
+}
+
+/// Running totals of one phase of an epoch.
+#[derive(Default)]
+struct PhaseTally {
+    /// Sum of the step losses.
+    loss: f64,
+    /// Steps completed.
+    steps: usize,
+    /// The estimator's clip tally (telemetry only).
+    clip: ClipCounts,
+    /// Propensity phase: time the fitting thread waited for Θ_g's outputs,
+    /// measured only while telemetry is enabled.
+    g_wait: std::time::Duration,
+}
+
+/// The fitting side of the propensity phase: everything a step mutates or
+/// reads except Θ_g, borrowed apart from it so Θ_g's forward can run on
+/// another thread meanwhile.
+struct PropensityFit<'a> {
+    head: &'a PropensityHead,
+    params: &'a mut Params,
+    estimator: &'a dyn RiskEstimator,
+    cfg: &'a UaeConfig,
+    tape: &'a mut Tape,
+    opt: &'a mut Adam,
+    /// Run the finiteness sentinels (see [`descend`]).
+    guard: bool,
+}
+
+impl PropensityFit<'_> {
+    /// One gradient step of Θ_h on `batch`, given Θ_g's outputs `g`; returns
+    /// the loss. `z₁` enters the tape as constant leaves, so the tape holds
+    /// `h` alone.
+    fn step(
+        &mut self,
+        batch: &SeqBatch,
+        g: &GOutputs,
+        clip_counts: &mut ClipCounts,
+    ) -> Result<f64, Anomaly> {
+        let tape = &mut *self.tape;
+        tape.clear();
+        let z1: Vec<Var> = g.z1.iter().map(|z| tape.input(z.clone())).collect();
+        let h_logits = self.head.logits(tape, self.params, batch, &z1);
+        let need = self.estimator.inputs(Phase::Propensity);
+        let p_hat = need.p_hat.then(|| probs_grid(tape, &h_logits));
+        let wb = self.estimator.weights(
+            Phase::Propensity,
+            &WeightCtx {
+                batch,
+                alpha_hat: g.alpha_hat.as_ref(),
+                p_hat: p_hat.as_ref(),
+            },
+        );
+        clip_counts.merge(&wb.clip);
+        let divisor = batch.valid_steps().max(1) as f32;
+        let loss = masked_sequence_bce(
+            tape,
+            &h_logits,
+            &wb.pos,
+            &wb.neg,
+            divisor,
+            self.cfg.clamp_nonneg,
+        );
+        descend(
+            tape,
+            loss,
+            self.params,
+            self.opt,
+            self.cfg.grad_clip,
+            self.guard,
+        )
+    }
+
+    /// Steps through `batches[seq[k]]` in order, taking each step's Θ_g
+    /// outputs from `g_outs` and handing them to `recycle` once the step is
+    /// done. Stops at the first anomaly, or early when `g_outs` ends.
+    fn run(
+        &mut self,
+        batches: &[SeqBatch],
+        seq: &[usize],
+        mut g_outs: impl Iterator<Item = GOutputs>,
+        mut recycle: impl FnMut(GOutputs),
+        tally: &mut PhaseTally,
+    ) -> Result<(), Anomaly> {
+        for &bi in seq {
+            let wait = uae_obs::enabled().then(std::time::Instant::now);
+            let Some(g) = g_outs.next() else {
+                break;
+            };
+            if let Some(start) = wait {
+                tally.g_wait += start.elapsed();
+            }
+            let loss = self.step(&batches[bi], &g, &mut tally.clip);
+            recycle(g);
+            tally.loss += loss?;
+            tally.steps += 1;
+        }
+        Ok(())
+    }
 }
 
 /// The UAE model: attention network `g`, an optional propensity head `h`,
@@ -217,37 +414,8 @@ impl Uae {
         self
     }
 
-    /// Forward of the propensity head with detached `z₁` (on the tape the
-    /// values re-enter as constants; tape-free, detaching is a plain copy).
-    /// Only reachable when a head exists: the fit loop consults the
-    /// estimator's [`PhaseInputs`] before calling, and single-network
-    /// estimators never request p̂.
-    fn propensity_logits<E: Exec>(&self, exec: &mut E, batch: &SeqBatch, z1: &[E::V]) -> Vec<E::V> {
-        match &self.h {
-            PropensityHead::Sequential(net) => {
-                let z1_detached: Vec<E::V> = z1.iter().map(|z| exec.detach(z)).collect();
-                net.forward(exec, &self.params_h, batch, &z1_detached)
-            }
-            PropensityHead::Local(net) => net.forward(exec, &self.params_h, batch),
-            PropensityHead::None => panic!(
-                "{} is a single-network estimator: it has no propensity head",
-                self.name
-            ),
-        }
-    }
-
-    /// σ of per-step logits as a `[t][i]` grid.
-    fn probs_grid(tape: &Tape, logits: &[Var]) -> WeightGrid {
-        logits
-            .iter()
-            .map(|&l| tape.value(l).data().iter().map(|&z| sigmoid(z)).collect())
-            .collect()
-    }
-
     /// One gradient step of the attention phase on `batch`; returns the
-    /// loss. With `guard` set, finiteness sentinels run on the loss (before
-    /// backward) and on the gradient norm (before the optimizer step), so a
-    /// tripped sentinel leaves the parameters untouched.
+    /// loss (see [`descend`] for the `guard` sentinels).
     ///
     /// `clip_counts` accumulates the estimator's clip tally for this phase
     /// (diagnostic only — it never feeds back into the update).
@@ -262,11 +430,19 @@ impl Uae {
         tape.clear();
         let gf = self.g.forward(tape, &self.params_g, batch);
         let need = self.estimator.inputs(Phase::Attention);
+        // Θ_h is fixed in this phase: p̂ is a constant of the step, so `h`
+        // runs tape-free on copies of the `z₁` values.
         let p_hat = need.p_hat.then(|| {
-            let h_logits = self.propensity_logits(tape, batch, &gf.z1);
-            Self::probs_grid(tape, &h_logits)
+            let z1: Vec<Matrix> = if self.h.reads_z1() {
+                gf.z1.iter().map(|&z| tape.value(z).clone()).collect()
+            } else {
+                Vec::new()
+            };
+            let vx = &mut ValueExec::new();
+            let h_logits = self.h.logits(vx, &self.params_h, batch, &z1);
+            probs_grid(vx, &h_logits)
         });
-        let alpha_hat = need.alpha_hat.then(|| Self::probs_grid(tape, &gf.logits));
+        let alpha_hat = need.alpha_hat.then(|| probs_grid(tape, &gf.logits));
         let wb = self.estimator.weights(
             Phase::Attention,
             &WeightCtx {
@@ -285,74 +461,84 @@ impl Uae {
             divisor,
             self.cfg.clamp_nonneg,
         );
-        let value = tape.value(loss).item() as f64;
-        if guard {
-            sentinel::check_loss(value)?;
-        }
-        self.params_g.zero_grads();
-        tape.backward(loss, &mut self.params_g);
-        let norm = match self.cfg.grad_clip {
-            Some(c) => self.params_g.clip_grad_norm(c),
-            None if guard => self.params_g.grad_norm(),
-            None => 0.0,
-        };
-        if guard {
-            sentinel::check_grad_norm(norm)?;
-        }
-        opt.step(&mut self.params_g);
-        Ok(value)
+        descend(
+            tape,
+            loss,
+            &mut self.params_g,
+            opt,
+            self.cfg.grad_clip,
+            guard,
+        )
     }
 
-    /// One gradient step of the propensity phase on `batch` (same sentinel
-    /// contract as [`Uae::attention_step`]). Only runs for dual estimators.
-    fn propensity_step(
+    /// Runs the propensity phase's steps on `batches[seq[k]]` in order,
+    /// stopping at the first anomaly. Only runs for dual estimators.
+    ///
+    /// Θ_g is fixed for the whole phase, so its tape-free forward for the
+    /// next batch runs on a second thread while this one fits Θ_h on the
+    /// current batch. The two hand off through a channel of depth 1; every
+    /// consumed output goes back to the producing thread to be dropped
+    /// there, so its buffers return to that thread's scratch pool. With one
+    /// backend thread ([`uae_tensor::num_threads`]) the same producer runs
+    /// inline. Either way the parameter updates are identical.
+    fn propensity_phase(
         &mut self,
+        batches: &[SeqBatch],
+        seq: &[usize],
         tape: &mut Tape,
-        batch: &SeqBatch,
         opt: &mut Adam,
         guard: bool,
-        clip_counts: &mut ClipCounts,
-    ) -> Result<f64, Anomaly> {
-        tape.clear();
-        let gf = self.g.forward(tape, &self.params_g, batch);
-        let need = self.estimator.inputs(Phase::Propensity);
-        let alpha_hat = need.alpha_hat.then(|| Self::probs_grid(tape, &gf.logits));
-        let h_logits = self.propensity_logits(tape, batch, &gf.z1);
-        let p_hat = need.p_hat.then(|| Self::probs_grid(tape, &h_logits));
-        let wb = self.estimator.weights(
-            Phase::Propensity,
-            &WeightCtx {
-                batch,
-                alpha_hat: alpha_hat.as_ref(),
-                p_hat: p_hat.as_ref(),
-            },
-        );
-        clip_counts.merge(&wb.clip);
-        let divisor = batch.valid_steps().max(1) as f32;
-        let loss = masked_sequence_bce(
+        tally: &mut PhaseTally,
+    ) -> Result<(), Anomaly> {
+        let alpha_hat = self.estimator.inputs(Phase::Propensity).alpha_hat;
+        let z1 = self.h.reads_z1();
+        let (g, params_g) = (&self.g, &self.params_g);
+        let produce = move |bi: usize| GOutputs::compute(g, params_g, &batches[bi], alpha_hat, z1);
+        let mut fit = PropensityFit {
+            head: &self.h,
+            params: &mut self.params_h,
+            estimator: self.estimator.as_ref(),
+            cfg: &self.cfg,
             tape,
-            &h_logits,
-            &wb.pos,
-            &wb.neg,
-            divisor,
-            self.cfg.clamp_nonneg,
-        );
-        let value = tape.value(loss).item() as f64;
-        if guard {
-            sentinel::check_loss(value)?;
-        }
-        self.params_h.zero_grads();
-        tape.backward(loss, &mut self.params_h);
-        let norm = match self.cfg.grad_clip {
-            Some(c) => self.params_h.clip_grad_norm(c),
-            None if guard => self.params_h.grad_norm(),
-            None => 0.0,
+            opt,
+            guard,
         };
-        if guard {
-            sentinel::check_grad_norm(norm)?;
+        if uae_tensor::num_threads() == 1 {
+            return fit.run(batches, seq, seq.iter().map(|&bi| produce(bi)), drop, tally);
         }
-        opt.step(&mut self.params_h);
-        Ok(value)
+        let settings = uae_tensor::ThreadSettings::current();
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::sync_channel::<GOutputs>(1);
+            let (back_tx, back_rx) = mpsc::channel::<GOutputs>();
+            s.spawn(move || {
+                settings.apply(|| {
+                    for &bi in seq {
+                        // Free the outputs the fitting thread is done with
+                        // first, so this forward reuses their buffers.
+                        back_rx.try_iter().for_each(drop);
+                        // A closed channel means the fitting side stopped.
+                        if tx.send(produce(bi)).is_err() {
+                            break;
+                        }
+                    }
+                    drop(tx);
+                    // Until the fitting side hangs up, every output still
+                    // comes back here.
+                    back_rx.iter().for_each(drop);
+                })
+            });
+            // `run` owns both channel ends and drops them on return, which
+            // releases a producer blocked on either channel.
+            fit.run(
+                batches,
+                seq,
+                rx.into_iter(),
+                move |done| {
+                    let _ = back_tx.send(done);
+                },
+                tally,
+            )
+        })
     }
 
     /// The hyper-parameters this model was built with.
@@ -381,7 +567,7 @@ impl Uae {
         uae_tensor::arena::scoped(|| {
             let mut vx = ValueExec::new();
             let gf = self.g.forward(&mut vx, &self.params_g, batch);
-            let propensity_logits = self.propensity_logits(&mut vx, batch, &gf.z1);
+            let propensity_logits = self.h.logits(&mut vx, &self.params_h, batch, &gf.z1);
             UaeInference {
                 attention_logits: gf.logits,
                 propensity_logits,
@@ -522,11 +708,8 @@ impl Uae {
             // which is exactly when the new bound takes effect.
             #[allow(clippy::mut_range_bound)]
             for epoch in start_epoch..self.cfg.epochs {
-                let mut att = (0.0f64, 0usize);
-                let mut pro = (0.0f64, 0usize);
-                // Clip tallies per phase, telemetry only.
-                let mut att_clip = ClipCounts::default();
-                let mut pro_clip = ClipCounts::default();
+                let mut att = PhaseTally::default();
+                let mut pro = PhaseTally::default();
                 let mut anomaly: Option<Anomaly> = None;
                 'phases: {
                     // Phase 1: attention risk minimizer (lines 3–7).
@@ -543,11 +726,11 @@ impl Uae {
                                 &batches[bi],
                                 &mut opt_g,
                                 sup.enabled(),
-                                &mut att_clip,
+                                &mut att.clip,
                             ) {
                                 Ok(v) => {
-                                    att.0 += v;
-                                    att.1 += 1;
+                                    att.loss += v;
+                                    att.steps += 1;
                                     step += 1;
                                 }
                                 Err(a) => {
@@ -560,8 +743,8 @@ impl Uae {
                     uae_obs::emit(|| uae_obs::Event::PhaseEnd {
                         name: "attention".into(),
                         epoch: epoch as u64,
-                        steps: att.1 as u64,
-                        mean_risk: att.0 / att.1.max(1) as f64,
+                        steps: att.steps as u64,
+                        mean_risk: att.loss / att.steps.max(1) as f64,
                         micros: phase_start.elapsed().as_micros() as u64,
                     });
                     // Phase 2: propensity risk minimizer (lines 8–12) —
@@ -572,34 +755,37 @@ impl Uae {
                             epoch: epoch as u64,
                         });
                         let phase_start = std::time::Instant::now();
+                        // Only the shuffles draw from `rng`, so all passes'
+                        // orders are drawn up front; a rollback restores
+                        // `rng` and `order` from the snapshot anyway.
+                        let mut seq = Vec::with_capacity(pro_passes * order.len());
                         for _ in 0..pro_passes {
                             rng.shuffle(&mut order);
-                            for &bi in &order {
-                                match self.propensity_step(
-                                    &mut tape,
-                                    &batches[bi],
-                                    &mut opt_h,
-                                    sup.enabled(),
-                                    &mut pro_clip,
-                                ) {
-                                    Ok(v) => {
-                                        pro.0 += v;
-                                        pro.1 += 1;
-                                        step += 1;
-                                    }
-                                    Err(a) => {
-                                        anomaly = Some(a);
-                                        break 'phases;
-                                    }
-                                }
-                            }
+                            seq.extend_from_slice(&order);
+                        }
+                        let result = self.propensity_phase(
+                            &batches,
+                            &seq,
+                            &mut tape,
+                            &mut opt_h,
+                            sup.enabled(),
+                            &mut pro,
+                        );
+                        step += pro.steps as u64;
+                        if let Err(a) = result {
+                            anomaly = Some(a);
+                            break 'phases;
                         }
                         uae_obs::emit(|| uae_obs::Event::PhaseEnd {
                             name: "propensity".into(),
                             epoch: epoch as u64,
-                            steps: pro.1 as u64,
-                            mean_risk: pro.0 / pro.1.max(1) as f64,
+                            steps: pro.steps as u64,
+                            mean_risk: pro.loss / pro.steps.max(1) as f64,
                             micros: phase_start.elapsed().as_micros() as u64,
+                        });
+                        uae_obs::emit(|| uae_obs::Event::Gauge {
+                            name: "fit.propensity_g_wait_ms".into(),
+                            value: pro.g_wait.as_secs_f64() * 1e3,
                         });
                     }
                 }
@@ -638,16 +824,16 @@ impl Uae {
                     }
                 }
                 self.estimator.on_epoch(epoch);
-                let att_risk = att.0 / att.1.max(1) as f64;
-                let pro_risk = pro.0 / pro.1.max(1) as f64;
+                let att_risk = att.loss / att.steps.max(1) as f64;
+                let pro_risk = pro.loss / pro.steps.max(1) as f64;
                 report.attention_loss.push(att_risk);
                 report.propensity_loss.push(pro_risk);
                 uae_obs::emit(|| uae_obs::Event::FitEpoch {
                     epoch: epoch as u64,
                     attention_risk: att_risk,
                     propensity_risk: pro_risk,
-                    propensity_clip_rate: att_clip.rate(),
-                    attention_clip_rate: pro_clip.rate(),
+                    propensity_clip_rate: att.clip.rate(),
+                    attention_clip_rate: pro.clip.rate(),
                 });
                 // Per-estimator telemetry (`estimator.<name>.*`) — what
                 // `uae summarize` renders into the estimator table.
@@ -657,7 +843,7 @@ impl Uae {
                 });
                 uae_obs::emit(|| uae_obs::Event::Gauge {
                     name: format!("estimator.{est_tag}.clip_rate.attention"),
-                    value: att_clip.rate(),
+                    value: att.clip.rate(),
                 });
                 if dual {
                     uae_obs::emit(|| uae_obs::Event::Gauge {
@@ -666,7 +852,7 @@ impl Uae {
                     });
                     uae_obs::emit(|| uae_obs::Event::Gauge {
                         name: format!("estimator.{est_tag}.clip_rate.propensity"),
-                        value: pro_clip.rate(),
+                        value: pro.clip.rate(),
                     });
                 }
                 uae_obs::emit(|| uae_obs::Event::Counter {
@@ -714,7 +900,7 @@ impl Uae {
         for b in &batches {
             tape.clear();
             let gf = self.g.forward(&mut tape, &self.params_g, b);
-            let h_logits = self.propensity_logits(&mut tape, b, &gf.z1);
+            let h_logits = self.h.logits(&mut tape, &self.params_h, b, &gf.z1);
             scatter_predictions(&tape, &h_logits, b, dataset, sessions, &mut out);
         }
         out

@@ -106,6 +106,35 @@ pub fn with_kernel_mode<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
     with_cell(&MODE, mode, f)
 }
 
+/// A thread's backend overrides: the [`with_num_threads`] worker count and
+/// the [`with_kernel_mode`] mode. Both are thread-local, so a thread spawned
+/// to run kernels starts from the defaults; capture the spawner's settings
+/// with [`ThreadSettings::current`] and re-install them with
+/// [`ThreadSettings::apply`] on the new thread.
+#[derive(Debug, Clone, Copy)]
+pub struct ThreadSettings {
+    threads: Option<usize>,
+    mode: KernelMode,
+}
+
+impl ThreadSettings {
+    /// The calling thread's overrides.
+    pub fn current() -> Self {
+        ThreadSettings {
+            threads: THREAD_OVERRIDE.with(Cell::get),
+            mode: kernel_mode(),
+        }
+    }
+
+    /// Runs `f` under these overrides on the calling thread (scoped,
+    /// panic-safe).
+    pub fn apply<R>(self, f: impl FnOnce() -> R) -> R {
+        with_cell(&THREAD_OVERRIDE, self.threads, || {
+            with_kernel_mode(self.mode, f)
+        })
+    }
+}
+
 /// Sets the thread-local `key` to `value` while `f` runs, restoring the
 /// previous value afterwards (also when `f` panics).
 pub(crate) fn with_cell<T: Copy + 'static, R>(
@@ -1084,6 +1113,25 @@ mod tests {
             assert_eq!(num_threads(), 3);
         });
         assert_eq!(num_threads(), outer);
+    }
+
+    #[test]
+    fn thread_settings_carry_onto_a_spawned_thread() {
+        let seen = |s: ThreadSettings| {
+            std::thread::scope(|sc| {
+                sc.spawn(move || s.apply(|| (num_threads(), threads_forced(), kernel_mode())))
+                    .join()
+                    .unwrap()
+            })
+        };
+        let pinned = with_num_threads(3, || {
+            with_kernel_mode(KernelMode::Naive, ThreadSettings::current)
+        });
+        assert_eq!(seen(pinned), (3, true, KernelMode::Naive));
+        // Without overrides the spawned thread keeps the defaults, including
+        // the small-work heuristic a pinned count would bypass.
+        let plain = seen(ThreadSettings::current());
+        assert_eq!(plain, (num_threads(), false, KernelMode::Blocked));
     }
 
     fn mm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {

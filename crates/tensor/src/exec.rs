@@ -396,10 +396,6 @@ pub trait Exec {
     /// Gathers `rows` of parameter table `id` (embedding lookup).
     fn gather(&mut self, params: &Params, id: ParamId, rows: &[usize]) -> Self::V;
 
-    /// Blocks gradient flow: on the tape the value re-enters as a constant
-    /// leaf; tape-free it is a plain copy (detaching values is a no-op).
-    fn detach(&mut self, x: &Self::V) -> Self::V;
-
     /// The forward value behind a handle.
     fn value<'a>(&'a self, x: &'a Self::V) -> &'a Matrix;
 
@@ -601,11 +597,6 @@ impl Exec for Tape {
         Tape::gather(self, params, id, rows)
     }
 
-    fn detach(&mut self, x: &Var) -> Var {
-        let v = Tape::value(self, *x).clone();
-        Tape::input(self, v)
-    }
-
     fn value<'a>(&'a self, x: &'a Var) -> &'a Matrix {
         Tape::value(self, *x)
     }
@@ -733,10 +724,6 @@ impl Exec for ValueExec {
 
     fn gather(&mut self, params: &Params, id: ParamId, rows: &[usize]) -> Matrix {
         params.value(id).gather_rows(rows)
-    }
-
-    fn detach(&mut self, x: &Matrix) -> Matrix {
-        x.clone()
     }
 
     fn value<'a>(&'a self, x: &'a Matrix) -> &'a Matrix {
@@ -946,14 +933,13 @@ mod tests {
         let sm = exec.softmax_rows(&rs);
         let sms = exec.softmax_rows_scaled(&rs, 0.37);
         let bm = exec.batched_matmul(&rs, &rs, 1, true);
-        let det = exec.detach(&bm);
         let gc = exec.gather_concat(
             params,
             &[ids[2], ids[2]],
             &[vec![0, 2, 1, 0], vec![1, 1, 0, 2]],
             &Matrix::from_vec(4, 2, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]),
         );
-        [cat, sl, row, sm, sms, la, bm, det, gc]
+        [cat, sl, row, sm, sms, la, bm, gc]
             .iter()
             .map(|v| exec.value(v).clone())
             .collect()
@@ -1080,9 +1066,6 @@ mod tests {
                     }
                     fn gather(&mut self, p: &Params, id: ParamId, r: &[usize]) -> Matrix {
                         self.0.gather(p, id, r)
-                    }
-                    fn detach(&mut self, x: &Matrix) -> Matrix {
-                        self.0.detach(x)
                     }
                     fn value<'a>(&'a self, x: &'a Matrix) -> &'a Matrix {
                         x

@@ -68,7 +68,7 @@ pub use arena::{arena_stats, reset_arena_stats, ArenaStats};
 pub use backend::{
     dispatch_stats, emit_backend_telemetry, kernel_latency_histogram, kernel_mode, num_threads,
     reset_dispatch_stats, reset_scratch_stats, scratch_stats, with_kernel_mode, with_num_threads,
-    DispatchStats, KernelMode, ScratchStats,
+    DispatchStats, KernelMode, ScratchStats, ThreadSettings,
 };
 pub use exec::{
     exec_stats, reset_exec_stats, with_fusion, ActKind, Exec, ExecStats, GruGates, GruPacked,

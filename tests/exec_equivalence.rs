@@ -16,8 +16,7 @@ use uae::data::{generate, infer_seq_batches, FlatData, SimConfig};
 use uae::models::{predict, train, LabelMode, ModelConfig, ModelKind, TrainConfig};
 use uae::serve::{FrozenModel, FrozenRecommender, RecScorer, Scorer, ScorerConfig};
 use uae::tensor::{
-    arena_stats, reset_arena_stats, with_fusion, with_num_threads, Exec, Params, Rng, Tape,
-    ValueExec, Var,
+    arena_stats, reset_arena_stats, with_fusion, with_num_threads, Params, Rng, Tape, ValueExec,
 };
 
 /// The full attention + propensity stack of UAE, forward under both engines
@@ -39,14 +38,11 @@ fn uae_networks_match_bitwise_under_both_engines() {
             for b in &batches {
                 let mut tape = Tape::new();
                 let gf = g.forward(&mut tape, &params_g, b);
-                let z1_detached: Vec<Var> =
-                    gf.z1.iter().map(|z| Exec::detach(&mut tape, z)).collect();
-                let h_logits = h.forward(&mut tape, &params_h, b, &z1_detached);
+                let h_logits = h.forward(&mut tape, &params_h, b, &gf.z1);
 
                 let mut vx = ValueExec::new();
                 let gv = g.forward(&mut vx, &params_g, b);
-                let z1_free: Vec<_> = gv.z1.iter().map(|z| vx.detach(z)).collect();
-                let hv = h.forward(&mut vx, &params_h, b, &z1_free);
+                let hv = h.forward(&mut vx, &params_h, b, &gv.z1);
 
                 for t in 0..b.steps {
                     assert_eq!(
@@ -174,15 +170,12 @@ fn fusion_is_bitwise_transparent_at_ragged_shapes() {
                     for b in &batches {
                         let mut tape = Tape::new();
                         let gf = g.forward(&mut tape, &params_g, b);
-                        let z1_detached: Vec<Var> =
-                            gf.z1.iter().map(|z| Exec::detach(&mut tape, z)).collect();
-                        let h_logits = h.forward(&mut tape, &params_h, b, &z1_detached);
+                        let h_logits = h.forward(&mut tape, &params_h, b, &gf.z1);
                         for fused in [false, true] {
                             with_fusion(fused, || {
                                 let mut vx = ValueExec::new();
                                 let gv = g.forward(&mut vx, &params_g, b);
-                                let z1_free: Vec<_> = gv.z1.iter().map(|z| vx.detach(z)).collect();
-                                let hv = h.forward(&mut vx, &params_h, b, &z1_free);
+                                let hv = h.forward(&mut vx, &params_h, b, &gv.z1);
                                 for t in 0..b.steps {
                                     assert_eq!(
                                         tape.value(gf.logits[t]).data(),

@@ -292,3 +292,82 @@ fn uae_fit_resumes_bit_identically() {
     assert_eq!(full_report.attention_loss, res_report.attention_loss);
     assert_eq!(full_report.propensity_loss, res_report.propensity_loss);
 }
+
+/// A sentinel that trips inside Algorithm 1's propensity phase stops the
+/// phase mid-pass. With two backend threads, Θ_g's forward for the next
+/// batches is then already computed and blocked on the full hand-off; the
+/// phase must release and join it. The fit has to return, roll back and
+/// finish, with the same faults, losses and parameters whether Θ_g's
+/// forward runs inline (one thread) or beside the fitting thread (two).
+#[test]
+fn propensity_phase_anomaly_rolls_back_identically_at_one_and_two_threads() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use uae::core::{Uae, UaeConfig};
+
+    let ds = generate(&SimConfig::tiny(), 3);
+    let sessions: Vec<usize> = (0..ds.sessions.len()).collect();
+    let cfg = UaeConfig {
+        embed_dim: 4,
+        gru_hidden: 8,
+        mlp_hidden: vec![8],
+        epochs: 1,
+        session_batch: 16,
+        max_len: 10,
+        seed: 11,
+        ..Default::default()
+    };
+    // One clean epoch, checkpointed; then resume from it with Θ_h's Adam
+    // learning rate diverging, so the propensity phase's second step sees
+    // non-finite values. The rollback's backoff brings the rate to 1.
+    let mut warm = Uae::new(&ds.schema, cfg.clone());
+    let mut sup = checkpointing_supervisor();
+    warm.fit_supervised(&ds, &sessions, &mut sup)
+        .expect("clean epoch");
+    let mut snap = sup.last_good().expect("checkpoint recorded").clone();
+    snap.optimizers[1].lr = 1e30;
+    let attention_steps = snap.step as usize / (1 + cfg.n_p);
+
+    let run = |threads: usize| {
+        let (ds, sessions, cfg, snap) = (ds.clone(), sessions.clone(), cfg.clone(), snap.clone());
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let out = uae::tensor::with_num_threads(threads, || {
+                let mut model = Uae::new(&ds.schema, UaeConfig { epochs: 3, ..cfg });
+                let mut sup = Supervisor::new(
+                    SupervisorConfig {
+                        checkpoint_every: 1,
+                        lr_backoff: 1e-30,
+                        ..Default::default()
+                    },
+                    "propensity-anomaly",
+                )
+                .with_resume(snap);
+                let report = model.fit_supervised(&ds, &sessions, &mut sup);
+                (
+                    report.map(|r| (r.attention_loss, r.propensity_loss)),
+                    sup.faults().to_vec(),
+                    save_params(model.attention_params()),
+                    save_params(model.propensity_params()),
+                )
+            });
+            let _ = tx.send(out);
+        });
+        rx.recv_timeout(Duration::from_secs(120))
+            .unwrap_or_else(|_| panic!("fit did not return at {threads} threads"))
+    };
+
+    let one = run(1);
+    let (losses, faults, _, _) = &one;
+    let (attention_loss, propensity_loss) = losses.as_ref().expect("rolls back and recovers");
+    assert_eq!(attention_loss.len(), 3);
+    assert_eq!(propensity_loss.len(), 3);
+    assert!(propensity_loss.iter().all(|l| l.is_finite()));
+    assert_eq!(faults.len(), 1, "one rollback: {faults:?}");
+    let fault = &faults[0];
+    assert!(fault.action.starts_with("rollback to epoch 1"), "{fault:?}");
+    // The resumed epoch's attention phase and first propensity step are done.
+    assert_eq!(fault.epoch, 1);
+    assert_eq!(fault.step, snap.step as usize + attention_steps + 1);
+    assert_eq!(one, run(2), "1 and 2 threads diverged");
+}

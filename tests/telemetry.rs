@@ -206,3 +206,35 @@ fn faults_and_checkpoints_flow_through_the_sink_with_step() {
         other => panic!("expected Fault, got {other:?}"),
     }
 }
+
+/// The propensity phase reports, once per epoch, how long the fitting
+/// thread waited for Θ_g's tape-free forward: the hand-off wait when the
+/// forward runs on a second thread, the forward itself when it runs inline.
+#[test]
+fn propensity_phase_reports_its_wait_for_theta_g() {
+    let ds = generate(&SimConfig::tiny(), 7);
+    let sessions: Vec<usize> = (0..ds.sessions.len()).collect();
+    for threads in [1usize, 2] {
+        let mem = Arc::new(MemorySink::new());
+        uae::tensor::with_num_threads(threads, || {
+            uae::obs::with_sink(mem.clone(), || {
+                Uae::new(&ds.schema, uae_cfg(1))
+                    .fit_supervised(&ds, &sessions, &mut Supervisor::disabled())
+                    .expect("fit")
+            })
+        });
+        let waits: Vec<f64> = mem
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Gauge { name, value } if name == "fit.propensity_g_wait_ms" => Some(value),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(waits.len(), 2, "one gauge per epoch at {threads} threads");
+        for w in waits {
+            // The first batch of a phase always waits for its forward.
+            assert!(w.is_finite() && w > 0.0, "wait {w} ms at {threads} threads");
+        }
+    }
+}
