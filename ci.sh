@@ -42,6 +42,10 @@ echo "==> determinism suites under UAE_NUM_THREADS=1 and =4"
 for nt in 1 4; do
     UAE_NUM_THREADS=$nt cargo test -q -p uae-tensor --test parallel_determinism
     UAE_NUM_THREADS=$nt cargo test -q -p uae-core --test thread_determinism
+    # The pre-refactor training fingerprints (parameter, checkpoint and
+    # prediction bytes): every bit-identity claim about the fit path rests
+    # on this gate.
+    UAE_NUM_THREADS=$nt cargo test -q -p uae-core --test refactor_identity
     UAE_NUM_THREADS=$nt cargo test -q --test exec_equivalence
     # Daemon integration suite (includes hot-reload determinism: scores
     # must be bit-identical across a generation swap under load).

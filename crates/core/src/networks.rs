@@ -120,10 +120,11 @@ impl AttentionNet {
             .encode_full(exec, params, &batch.cat[t], &batch.dense[t])
     }
 
-    /// Full forward over a padded session batch. GRU and head parameters are
-    /// pushed into the context once and shared by every timestep; each step's
-    /// state moves straight into `z1` (the head reads it by reference), so
-    /// the time loop allocates no per-step parameter or state copies.
+    /// Full forward over a padded session batch: every step's input first,
+    /// then the GRU₁ unroll as one composite ([`Exec::gru_unroll`]: a single
+    /// tape node in training), then MLP₁ on each state. GRU and head
+    /// parameters are pushed into the context once and shared by every
+    /// timestep.
     pub fn forward<E: Exec>(
         &self,
         exec: &mut E,
@@ -133,18 +134,26 @@ impl AttentionNet {
         let gru_vars = self.gru.param_vars(exec, params);
         let head_vars = self.head.param_vars(exec, params);
         let h0 = self.gru.zero_state(exec, batch.batch);
-        let mut logits = Vec::with_capacity(batch.steps);
-        let mut z1: Vec<E::V> = Vec::with_capacity(batch.steps);
-        for t in 0..batch.steps {
-            let x = self.step_input(exec, params, batch, t);
-            let mask = exec.input(Matrix::col_vector(&batch.mask[t]));
-            let prev = z1.last().unwrap_or(&h0);
-            let h = self.gru.step_masked_with(exec, &gru_vars, &x, prev, &mask);
-            logits.push(self.head.forward_with(exec, &head_vars, &h));
-            z1.push(h);
-        }
+        let xs: Vec<E::V> = (0..batch.steps)
+            .map(|t| self.step_input(exec, params, batch, t))
+            .collect();
+        let masks = step_masks(exec, batch);
+        let z1 = exec.gru_unroll(&gru_vars, &h0, &xs, &masks);
+        let logits = z1
+            .iter()
+            .map(|h| self.head.forward_with(exec, &head_vars, h))
+            .collect();
         AttentionForward { logits, z1 }
     }
+}
+
+/// Each step's validity mask as a `batch × 1` constant.
+fn step_masks<E: Exec>(exec: &mut E, batch: &SeqBatch) -> Vec<E::V> {
+    batch
+        .mask
+        .iter()
+        .map(|m| exec.input(Matrix::col_vector(m)))
+        .collect()
 }
 
 /// The sequential propensity network `h` (GRU₂ + MLP₂).
@@ -189,18 +198,22 @@ impl PropensityNet {
         assert_eq!(z1.len(), batch.steps);
         let gru_vars = self.gru.param_vars(exec, params);
         let head_vars = self.head.param_vars(exec, params);
-        let mut h = self.gru.zero_state(exec, batch.batch);
-        let mut logits = Vec::with_capacity(batch.steps);
-        for (t, z1) in z1.iter().enumerate() {
-            let prev_e = exec.input(Matrix::col_vector(&batch.prev_e[t]));
-            let mask = exec.input(Matrix::col_vector(&batch.mask[t]));
-            h = self
-                .gru
-                .step_masked_with(exec, &gru_vars, &prev_e, &h, &mask);
-            let cat = exec.concat_cols(&[z1, &h, &prev_e]);
-            logits.push(self.head.forward_with(exec, &head_vars, &cat));
-        }
-        logits
+        let h0 = self.gru.zero_state(exec, batch.batch);
+        let prev_e: Vec<E::V> = batch
+            .prev_e
+            .iter()
+            .map(|e| exec.input(Matrix::col_vector(e)))
+            .collect();
+        let masks = step_masks(exec, batch);
+        let states = exec.gru_unroll(&gru_vars, &h0, &prev_e, &masks);
+        z1.iter()
+            .zip(&states)
+            .zip(&prev_e)
+            .map(|((z1, h), e)| {
+                let cat = exec.concat_cols(&[z1, h, e]);
+                self.head.forward_with(exec, &head_vars, &cat)
+            })
+            .collect()
     }
 }
 

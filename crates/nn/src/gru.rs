@@ -2,10 +2,12 @@
 //! both of UAE's networks (GRU₁ over feature sequences for the attention
 //! model `g`, GRU₂ over feedback history for the propensity model `h`).
 //!
-//! All recurrence math is generic over [`Exec`]: the same step functions run
-//! on the training tape and tape-free for serving, bit-identically.
+//! A [`GruCell`] owns the parameter registrations; the recurrence math lives
+//! in the [`Exec`] composites [`Exec::gru_step`] and [`Exec::gru_unroll`], so
+//! the same forward runs on the training tape — which records a whole
+//! unroll as one node — and tape-free for serving, bit-identically.
 
-use uae_tensor::{Exec, GruGates, GruPacked, Init, Matrix, ParamId, Params};
+use uae_tensor::{Exec, GruVars, Init, Matrix, ParamId, Params};
 
 /// A single GRU cell with input dimension `in_dim` and state size `hidden`.
 ///
@@ -78,171 +80,27 @@ impl GruCell {
     }
 
     /// Pushes the cell's nine parameter matrices into the context once,
-    /// returning handles for repeated [`GruCell::step_with`] calls. A
+    /// returning handles for [`Exec::gru_step`] / [`Exec::gru_unroll`]. A
     /// time-loop that re-pushed parameters every step would snapshot (clone)
     /// all nine matrices per timestep; hoisting makes that once per unroll.
     ///
     /// Also offers the gates to [`Exec::pack_gru`]: a fusing engine returns
-    /// column-packed `[r|z|n]` weights and every subsequent step runs the
-    /// fused [`Exec::gru_step_packed`] kernel (two GEMMs + one element-wise
-    /// pass instead of six GEMMs + a dozen element-wise ops), bit-identically.
+    /// column-packed `[r|z|n]` weights and every step runs the fused
+    /// [`Exec::gru_step_packed`] kernel (two GEMMs + one element-wise pass
+    /// instead of six GEMMs + a dozen element-wise ops), bit-identically.
     pub fn param_vars<E: Exec>(&self, exec: &mut E, params: &Params) -> GruVars<E::V> {
-        let w_r = exec.param(params, self.w_r);
-        let u_r = exec.param(params, self.u_r);
-        let b_r = exec.param(params, self.b_r);
-        let w_z = exec.param(params, self.w_z);
-        let u_z = exec.param(params, self.u_z);
-        let b_z = exec.param(params, self.b_z);
-        let w_n = exec.param(params, self.w_n);
-        let u_n = exec.param(params, self.u_n);
-        let b_n = exec.param(params, self.b_n);
-        let packed = exec.pack_gru(GruGates {
-            w_r: &w_r,
-            u_r: &u_r,
-            b_r: &b_r,
-            w_z: &w_z,
-            u_z: &u_z,
-            b_z: &b_z,
-            w_n: &w_n,
-            u_n: &u_n,
-            b_n: &b_n,
-        });
-        GruVars {
-            w_r,
-            u_r,
-            b_r,
-            w_z,
-            u_z,
-            b_z,
-            w_n,
-            u_n,
-            b_n,
-            packed,
-        }
-    }
-
-    /// One recurrence step: `x` is `batch × in_dim`, `h` is `batch × hidden`.
-    pub fn step<E: Exec>(&self, exec: &mut E, params: &Params, x: &E::V, h: &E::V) -> E::V {
-        let vars = self.param_vars(exec, params);
-        self.step_with(exec, &vars, x, h)
-    }
-
-    /// One recurrence step against pre-pushed parameter handles.
-    pub fn step_with<E: Exec>(
-        &self,
-        exec: &mut E,
-        vars: &GruVars<E::V>,
-        x: &E::V,
-        h: &E::V,
-    ) -> E::V {
-        if let Some(p) = &vars.packed {
-            return exec.gru_step_packed(p, x, h, None);
-        }
-        let gate = |exec: &mut E, w: &E::V, u: &E::V, b: &E::V| {
-            let xwb = exec.linear(x, w, b);
-            let hu = exec.matmul(h, u);
-            exec.add(&xwb, &hu)
-        };
-        let r = gate(exec, &vars.w_r, &vars.u_r, &vars.b_r);
-        let r = exec.sigmoid(&r);
-        let z = gate(exec, &vars.w_z, &vars.u_z, &vars.b_z);
-        let z = exec.sigmoid(&z);
-        // Candidate with reset applied to the recurrent term.
-        let xwb = exec.linear(x, &vars.w_n, &vars.b_n);
-        let hu = exec.matmul(h, &vars.u_n);
-        let rhu = exec.mul(&r, &hu);
-        let pre = exec.add(&xwb, &rhu);
-        let n = exec.tanh(&pre);
-        // h' = z∘h + (1−z)∘n
-        let zh = exec.mul(&z, h);
-        let omz = exec.one_minus(&z);
-        let zn = exec.mul(&omz, &n);
-        exec.add(&zh, &zn)
-    }
-
-    /// One step with a per-sample validity mask (`batch × 1`, 1 = real step,
-    /// 0 = padding): padded samples carry their previous state forward
-    /// unchanged, so padding never contaminates the recurrence.
-    pub fn step_masked<E: Exec>(
-        &self,
-        exec: &mut E,
-        params: &Params,
-        x: &E::V,
-        h: &E::V,
-        mask: &E::V,
-    ) -> E::V {
-        let vars = self.param_vars(exec, params);
-        self.step_masked_with(exec, &vars, x, h, mask)
-    }
-
-    /// As [`GruCell::step_masked`] against pre-pushed parameter handles.
-    pub fn step_masked_with<E: Exec>(
-        &self,
-        exec: &mut E,
-        vars: &GruVars<E::V>,
-        x: &E::V,
-        h: &E::V,
-        mask: &E::V,
-    ) -> E::V {
-        if let Some(p) = &vars.packed {
-            return exec.gru_step_packed(p, x, h, Some(mask));
-        }
-        let candidate = self.step_with(exec, vars, x, h);
-        let kept = exec.mul_col(&candidate, mask);
-        let inv = exec.one_minus(mask);
-        let carried = exec.mul_col(h, &inv);
-        exec.add(&kept, &carried)
+        let handles = [
+            self.w_r, self.u_r, self.b_r, self.w_z, self.u_z, self.b_z, self.w_n, self.u_n,
+            self.b_n,
+        ]
+        .map(|id| exec.param(params, id));
+        GruVars::new(exec, handles)
     }
 
     /// Zero initial state for a batch.
     pub fn zero_state<E: Exec>(&self, exec: &mut E, batch: usize) -> E::V {
         exec.input(Matrix::zeros(batch, self.hidden))
     }
-
-    /// Unrolls the cell over a sequence of `batch × in_dim` inputs with
-    /// matching `batch × 1` masks, returning the hidden state *after* each
-    /// step. `xs` and `masks` must have equal length.
-    pub fn unroll<E: Exec>(
-        &self,
-        exec: &mut E,
-        params: &Params,
-        xs: &[E::V],
-        masks: &[E::V],
-    ) -> Vec<E::V> {
-        assert_eq!(xs.len(), masks.len(), "unroll: xs/masks length mismatch");
-        let batch = if xs.is_empty() {
-            0
-        } else {
-            exec.value(&xs[0]).rows()
-        };
-        let vars = self.param_vars(exec, params);
-        let h0 = self.zero_state(exec, batch);
-        let mut states: Vec<E::V> = Vec::with_capacity(xs.len());
-        for (x, m) in xs.iter().zip(masks) {
-            let prev = states.last().unwrap_or(&h0);
-            let next = self.step_masked_with(exec, &vars, x, prev, m);
-            states.push(next);
-        }
-        states
-    }
-}
-
-/// Context handles for a [`GruCell`]'s nine parameters, pushed once by
-/// [`GruCell::param_vars`] and shared across every timestep of an unroll.
-/// When the engine fuses (see [`Exec::pack_gru`]), `packed` additionally
-/// holds the column-packed `[r|z|n]` gate matrices.
-#[derive(Debug, Clone)]
-pub struct GruVars<V> {
-    w_r: V,
-    u_r: V,
-    b_r: V,
-    w_z: V,
-    u_z: V,
-    b_z: V,
-    w_n: V,
-    u_n: V,
-    b_n: V,
-    packed: Option<GruPacked<V>>,
 }
 
 #[cfg(test)]
@@ -259,8 +117,9 @@ mod tests {
         params.init(&mut rng);
         let mut tape = Tape::new();
         let x = tape.input(Matrix::randn(5, 3, 1.0, &mut rng));
+        let vars = cell.param_vars(&mut tape, &params);
         let h0 = cell.zero_state(&mut tape, 5);
-        let h1 = cell.step(&mut tape, &params, &x, &h0);
+        let h1 = tape.gru_step(&vars, &x, &h0, None);
         assert_eq!(tape.value(h1).shape(), (5, 4));
     }
 
@@ -272,10 +131,11 @@ mod tests {
         let cell = GruCell::new("g", 2, 3, &mut params);
         params.init(&mut rng);
         let mut tape = Tape::new();
+        let vars = cell.param_vars(&mut tape, &params);
         let mut h = cell.zero_state(&mut tape, 4);
         for _ in 0..20 {
             let x = tape.input(Matrix::randn(4, 2, 3.0, &mut rng));
-            h = cell.step(&mut tape, &params, &x, &h);
+            h = tape.gru_step(&vars, &x, &h, None);
         }
         assert!(tape.value(h).data().iter().all(|&v| v.abs() <= 1.0 + 1e-5));
     }
@@ -288,11 +148,12 @@ mod tests {
         params.init(&mut rng);
         let mut tape = Tape::new();
         let x0 = tape.input(Matrix::randn(2, 2, 1.0, &mut rng));
+        let vars = cell.param_vars(&mut tape, &params);
         let h0 = cell.zero_state(&mut tape, 2);
-        let h1 = cell.step(&mut tape, &params, &x0, &h0);
+        let h1 = tape.gru_step(&vars, &x0, &h0, None);
         let x1 = tape.input(Matrix::randn(2, 2, 1.0, &mut rng));
         let mask = tape.input(Matrix::col_vector(&[1.0, 0.0]));
-        let h2 = cell.step_masked(&mut tape, &params, &x1, &h1, &mask);
+        let h2 = tape.gru_step(&vars, &x1, &h1, Some(&mask));
         // Row 1 was masked: carried forward unchanged.
         assert_eq!(tape.value(h2).row(1), tape.value(h1).row(1));
         // Row 0 was live: changed.
@@ -312,7 +173,9 @@ mod tests {
         let masks: Vec<Var> = (0..5)
             .map(|_| tape.input(Matrix::filled(3, 1, 1.0)))
             .collect();
-        let states = cell.unroll(&mut tape, &params, &xs, &masks);
+        let vars = cell.param_vars(&mut tape, &params);
+        let h0 = cell.zero_state(&mut tape, 3);
+        let states = tape.gru_unroll(&vars, h0, &xs, &masks);
         assert_eq!(states.len(), 5);
         for s in states {
             assert_eq!(tape.value(s).shape(), (3, 3));
@@ -332,9 +195,10 @@ mod tests {
             let x0v = tape.input(x0.clone());
             let x1v = tape.input(x1.clone());
             let m = tape.input(mask.clone());
+            let vars = cell.param_vars(tape, params);
             let h0 = cell.zero_state(tape, 3);
-            let h1 = cell.step(tape, params, &x0v, &h0);
-            let h2 = cell.step_masked(tape, params, &x1v, &h1, &m);
+            let h1 = tape.gru_step(&vars, &x0v, &h0, None);
+            let h2 = tape.gru_step(&vars, &x1v, &h1, Some(&m));
             let sq = tape.square(h2);
             tape.mean_all(sq)
         });

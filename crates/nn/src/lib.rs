@@ -28,7 +28,7 @@ pub mod optim;
 pub use attention::InteractingLayer;
 pub use cross::{CrossLayerV1, CrossLayerV2};
 pub use embedding::FieldEmbeddings;
-pub use gru::{GruCell, GruVars};
+pub use gru::GruCell;
 pub use hashed::{mix64, EmbeddingBank, HashConfig, HashedEmbedding, DEFAULT_HASH_SEED};
 pub use linear::{Activation, Linear, LinearVars, Mlp, MlpVars};
 pub use optim::{Adam, AdamState, Optimizer, Sgd};

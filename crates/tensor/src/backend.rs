@@ -38,7 +38,7 @@
 #![allow(clippy::too_many_arguments)]
 
 use std::cell::{Cell, RefCell};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread::LocalKey;
 
 // --------------------------------------------------------------------- config
@@ -466,9 +466,79 @@ fn plan_threads(rows: usize, flops: usize) -> usize {
     requested.min((flops / MIN_FLOPS_PER_THREAD).max(1))
 }
 
+/// How a region of `rows` rows and `flops` of work runs: its worker count
+/// and its contiguous row ranges `(first_row, row_count)`, `per_worker` of
+/// them per worker (`ceil(rows / ranges)` rows each, the remainder last).
+/// One worker and one range when the region stays serial.
+pub(crate) fn row_chunks(
+    rows: usize,
+    flops: usize,
+    per_worker: usize,
+) -> (usize, Vec<(usize, usize)>) {
+    let workers = plan_threads(rows, flops);
+    if rows == 0 || workers == 1 {
+        return (1, vec![(0, rows)]);
+    }
+    let chunk = rows.div_ceil(workers * per_worker).max(1);
+    let ranges = (0..rows)
+        .step_by(chunk)
+        .map(|r0| (r0, chunk.min(rows - r0)))
+        .collect();
+    (workers, ranges)
+}
+
+/// `buf` (`width` floats per row) cut at the row ranges of `chunks`.
+pub(crate) fn split_rows<'a>(
+    mut buf: &'a mut [f32],
+    width: usize,
+    chunks: &[(usize, usize)],
+) -> Vec<&'a mut [f32]> {
+    chunks
+        .iter()
+        .map(|&(_, n)| {
+            let (head, tail) = std::mem::take(&mut buf).split_at_mut(n * width);
+            buf = tail;
+            head
+        })
+        .collect()
+}
+
+/// Runs `work` on every part with `workers` threads: `workers − 1` scoped
+/// workers and the calling thread each claim the next unclaimed part until
+/// none is left. A worker that starts late (its vCPU busy elsewhere) claims
+/// fewer parts instead of holding the region up, and results cannot depend
+/// on who ran a part: the caller pre-splits whatever the parts own (output
+/// rows, scratch) into disjoint pieces, so workers never allocate or touch
+/// the caller's pool.
+pub(crate) fn par_parts<P: Send>(parts: Vec<P>, workers: usize, work: &(dyn Fn(P) + Sync)) {
+    let workers = workers.min(parts.len());
+    if workers <= 1 {
+        bump(&SERIAL_REGIONS, 1);
+        parts.into_iter().for_each(work);
+        return;
+    }
+    bump(&PAR_REGIONS, 1);
+    bump(&PAR_WORKERS, workers as u64);
+    let queue = Mutex::new(parts.into_iter());
+    let drain = || loop {
+        // Claiming is the only use of the lock, and it cannot panic.
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        match next {
+            Some(part) => work(part),
+            None => break,
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(drain);
+        }
+        drain();
+    });
+}
+
 /// Splits `out` into per-worker contiguous row ranges and runs
-/// `kernel(first_row, row_count, chunk)` on each. The final chunk runs on the
-/// calling thread. `kernel` must fully overwrite its chunk.
+/// `kernel(first_row, row_count, chunk)` on each, the calling thread taking
+/// its share ([`par_parts`]). `kernel` must fully overwrite its chunk.
 fn par_rows(
     out: &mut [f32],
     rows: usize,
@@ -477,26 +547,48 @@ fn par_rows(
     kernel: &(dyn Fn(usize, usize, &mut [f32]) + Sync),
 ) {
     debug_assert_eq!(out.len(), rows * row_width);
-    let nt = plan_threads(rows, flops);
-    if nt <= 1 || row_width == 0 {
-        bump(&SERIAL_REGIONS, 1);
-        kernel(0, rows, out);
-        return;
-    }
-    bump(&PAR_REGIONS, 1);
-    bump(&PAR_WORKERS, nt as u64);
-    let chunk_rows = rows.div_ceil(nt);
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut r0 = 0;
-        while r0 + chunk_rows < rows {
-            let (head, tail) = rest.split_at_mut(chunk_rows * row_width);
-            rest = tail;
-            s.spawn(move || kernel(r0, chunk_rows, head));
-            r0 += chunk_rows;
-        }
-        kernel(r0, rows - r0, rest);
-    });
+    par_rows2(
+        out,
+        row_width,
+        &mut [],
+        0,
+        rows,
+        flops,
+        &|r0, n, chunk, _| kernel(r0, n, chunk),
+    );
+}
+
+/// A [`par_rows2`] worker body: `(first_row, row_count, a_chunk, b_chunk)`.
+type PairKernel<'a> = dyn Fn(usize, usize, &mut [f32], &mut [f32]) + Sync + 'a;
+
+/// [`par_rows`] over two buffers split in lockstep: row `r` of the work owns
+/// `a[r·a_width..]` and `b[r·b_width..]`, and each worker gets the matching
+/// chunks of both (`kernel(first_row, row_count, a_chunk, b_chunk)`). The
+/// second buffer is a second output or caller-owned scratch, so no worker
+/// allocates.
+fn par_rows2(
+    a: &mut [f32],
+    a_width: usize,
+    b: &mut [f32],
+    b_width: usize,
+    rows: usize,
+    flops: usize,
+    kernel: &PairKernel<'_>,
+) {
+    debug_assert_eq!(a.len(), rows * a_width);
+    debug_assert_eq!(b.len(), rows * b_width);
+    let (workers, chunks) = if a.is_empty() {
+        (1, vec![(0, rows)])
+    } else {
+        row_chunks(rows, flops, 1)
+    };
+    let parts: Vec<_> = chunks
+        .iter()
+        .zip(split_rows(a, a_width, &chunks))
+        .zip(split_rows(b, b_width, &chunks))
+        .map(|((&(r0, n), a), b)| (r0, n, a, b))
+        .collect();
+    par_parts(parts, workers, &|(r0, n, a, b)| kernel(r0, n, a, b));
 }
 
 // -------------------------------------------------------------- dot primitive
@@ -815,6 +907,115 @@ fn matmul_nt_rows_blocked(
     }
 }
 
+/// Output columns one pass of [`matmul_nt_rows_wide`] computes together.
+const NT_COLS: usize = 8;
+
+/// Rows of `a·bᵀ` (`a: m×k`, `b: j×k`) [`NT_COLS`] output columns at a
+/// time, reading `panels`: `b`'s first `jrows − jrows % NT_COLS` rows
+/// packed by [`pack_nt_panels`]. Each output element gets exactly
+/// [`dot_lanes`]' arithmetic — the same lane split of `k`, per-lane sums,
+/// pairwise reduction and tail — so the result is bitwise `dot_lanes` per
+/// element; only the SIMD vectors run across output columns instead of
+/// along `k`, which spares the per-element horizontal reduction. The last
+/// `jrows % NT_COLS` columns call `dot_lanes` on `b`. With `accumulate`
+/// each element becomes `old + dot`, bitwise the product followed by an
+/// `add_assign`.
+fn matmul_nt_rows_wide(
+    a: &[f32],
+    b: &[f32],
+    panels: &[f32],
+    k: usize,
+    jrows: usize,
+    r0: usize,
+    nrows: usize,
+    chunk: &mut [f32],
+    accumulate: bool,
+) {
+    let wide = jrows - jrows % NT_COLS;
+    for i in 0..nrows {
+        let arow = &a[(r0 + i) * k..][..k];
+        let orow = &mut chunk[i * jrows..][..jrows];
+        for (panel, out) in panels
+            .chunks_exact((k * NT_COLS).max(1))
+            .zip(orow[..wide].chunks_exact_mut(NT_COLS))
+        {
+            let d = if k >= 32 {
+                dot_lanes_panel::<16>(arow, panel)
+            } else {
+                dot_lanes_panel::<8>(arow, panel)
+            };
+            for (o, d) in out.iter_mut().zip(d) {
+                *o = if accumulate { *o + d } else { d };
+            }
+        }
+        for (j, o) in orow.iter_mut().enumerate().skip(wide) {
+            let d = dot_lanes(arow, &b[j * k..][..k]);
+            *o = if accumulate { *o + d } else { d };
+        }
+    }
+}
+
+/// `b`'s rows (`jrows × k`) packed in blocks of [`NT_COLS`], in a pooled
+/// buffer: block `jb` is a `k × NT_COLS` panel with
+/// `panel[p][q] = b[jb·NT_COLS + q][p]`. The last `jrows % NT_COLS` rows are
+/// left out.
+pub(crate) fn pack_nt_panels(b: &[f32], jrows: usize, k: usize) -> Vec<f32> {
+    let wide = jrows - jrows % NT_COLS;
+    let mut out = take_uninit(wide * k);
+    for (jb, panel) in out.chunks_exact_mut((k * NT_COLS).max(1)).enumerate() {
+        for q in 0..NT_COLS {
+            let row = &b[(jb * NT_COLS + q) * k..][..k];
+            for (p, &v) in row.iter().enumerate() {
+                panel[p * NT_COLS + q] = v;
+            }
+        }
+    }
+    out
+}
+
+/// `dot_lanes(arow, b_j)` for the [`NT_COLS`] columns of one panel, with
+/// `L` lanes in [`dot8`] / [`dot16`]'s exact order. The eight reduced lanes
+/// are built in the order the pairwise tree consumes them, so few are live
+/// at once.
+#[inline(always)]
+fn dot_lanes_panel<const L: usize>(arow: &[f32], panel: &[f32]) -> [f32; NT_COLS] {
+    const C: usize = NT_COLS;
+    let k = arow.len();
+    let split = k - k % L;
+    let (a_lanes, a_tail) = arow.split_at(split);
+    let (p_lanes, p_tail) = panel.split_at(split * C);
+    let axpy = |acc: &mut [f32; C], s: f32, col: &[f32]| {
+        for (x, &v) in acc.iter_mut().zip(col) {
+            *x += s * v;
+        }
+    };
+    // Reduced lane `l`: dot8's `acc[l]`, or dot16's `acc[l] + acc[l + 8]`.
+    let lane = |l: usize| -> [f32; C] {
+        let mut acc = [0.0f32; C];
+        let mut upper = [0.0f32; C];
+        for (a, p) in a_lanes.chunks_exact(L).zip(p_lanes.chunks_exact(L * C)) {
+            axpy(&mut acc, a[l], &p[l * C..][..C]);
+            if L == 16 {
+                axpy(&mut upper, a[l + 8], &p[(l + 8) * C..][..C]);
+            }
+        }
+        if L == 16 {
+            for (x, &u) in acc.iter_mut().zip(&upper) {
+                *x += u;
+            }
+        }
+        acc
+    };
+    let add = |x: [f32; C], y: [f32; C]| -> [f32; C] { std::array::from_fn(|q| x[q] + y[q]) };
+    let mut tail = [0.0f32; C];
+    for (&s, col) in a_tail.iter().zip(p_tail.chunks_exact(C)) {
+        axpy(&mut tail, s, col);
+    }
+    let left = add(add(lane(0), lane(4)), add(lane(2), lane(6)));
+    let right = add(add(lane(1), lane(5)), add(lane(3), lane(7)));
+    add(add(left, right), tail)
+}
+
 fn matmul_nt_rows_naive(
     a: &[f32],
     b: &[f32],
@@ -823,6 +1024,7 @@ fn matmul_nt_rows_naive(
     r0: usize,
     nrows: usize,
     chunk: &mut [f32],
+    accumulate: bool,
 ) {
     for i in 0..nrows {
         let arow = &a[(r0 + i) * k..(r0 + i) * k + k];
@@ -833,8 +1035,83 @@ fn matmul_nt_rows_naive(
             for (&x, &y) in arow.iter().zip(brow) {
                 acc += x * y;
             }
-            *o = acc;
+            *o = if accumulate { *o + acc } else { acc };
         }
+    }
+}
+
+// ------------------------------------------------------------- chunk bodies
+//
+// What one worker of each matmul-family region runs, under the mode the
+// region's caller read (a spawned worker starts from the default mode). The
+// public entries below and the tape's fused GRU regions share them, so every
+// caller gets one definition of each product's arithmetic.
+
+/// Rows `[r0, r0 + chunk rows)` of `a·b` (`a: m×k`, `b: k×n`) into `chunk`.
+pub(crate) fn matmul_chunk(
+    mode: KernelMode,
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    r0: usize,
+    chunk: &mut [f32],
+) {
+    match mode {
+        KernelMode::Blocked if n == 1 && k > 0 => matvec_rows(a, b, k, r0, chunk),
+        KernelMode::Blocked => matmul_rows_blocked(a, b, k, n, r0, chunk),
+        KernelMode::Naive => matmul_rows_naive(a, b, k, n, r0, chunk),
+    }
+}
+
+/// Rows `[r0, r0 + chunk rows)` of `a·b + bias` into `chunk`. In `Blocked`
+/// mode the bias seeds the accumulator, so the per-element sum order is
+/// `bias + Σ_k`; in `Naive` mode it is `Σ_k` then `+ bias`.
+pub(crate) fn matmul_bias_chunk(
+    mode: KernelMode,
+    a: &[f32],
+    b: &[f32],
+    bias: &[f32],
+    k: usize,
+    n: usize,
+    r0: usize,
+    chunk: &mut [f32],
+) {
+    match mode {
+        KernelMode::Blocked if n == 1 && k > 0 => matvec_bias_rows(a, b, bias[0], k, r0, chunk),
+        KernelMode::Blocked => matmul_bias_rows(a, b, bias, k, n, r0, chunk),
+        KernelMode::Naive => {
+            matmul_rows_naive(a, b, k, n, r0, chunk);
+            for orow in chunk.chunks_exact_mut(n.max(1)) {
+                for (o, &bv) in orow.iter_mut().zip(bias) {
+                    *o += bv;
+                }
+            }
+        }
+    }
+}
+
+/// Rows `[r0, r0 + nrows)` of `a·bᵀ` (`a: m×k`, `b: j×k`) into `chunk`, or
+/// added to it when `accumulate` (each element `old + dot`: bitwise the
+/// product followed by an `add_assign`). Blocked mode also reads `panels`,
+/// `b` packed by [`pack_nt_panels`] ([`matmul_nt_rows_wide`]).
+pub(crate) fn matmul_nt_chunk(
+    mode: KernelMode,
+    a: &[f32],
+    b: &[f32],
+    panels: &[f32],
+    k: usize,
+    jrows: usize,
+    r0: usize,
+    nrows: usize,
+    chunk: &mut [f32],
+    accumulate: bool,
+) {
+    match mode {
+        KernelMode::Blocked => {
+            matmul_nt_rows_wide(a, b, panels, k, jrows, r0, nrows, chunk, accumulate)
+        }
+        KernelMode::Naive => matmul_nt_rows_naive(a, b, k, jrows, r0, nrows, chunk, accumulate),
     }
 }
 
@@ -845,18 +1122,13 @@ pub(crate) fn matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &m
     debug_assert_eq!(out.len(), m * n);
     let _t = KernelTimer::begin();
     let mode = kernel_mode();
-    par_rows(out, m, n, m * k * n, &|r0, _nrows, chunk| match mode {
-        KernelMode::Blocked if n == 1 && k > 0 => matvec_rows(a, b, k, r0, chunk),
-        KernelMode::Blocked => matmul_rows_blocked(a, b, k, n, r0, chunk),
-        KernelMode::Naive => matmul_rows_naive(a, b, k, n, r0, chunk),
+    par_rows(out, m, n, m * k * n, &|r0, _nrows, chunk| {
+        matmul_chunk(mode, a, b, k, n, r0, chunk)
     });
 }
 
-/// `a·b + bias` (bias broadcast over rows) — fused dense-layer forward.
-///
-/// In `Blocked` mode the bias seeds the accumulator, so the per-element sum
-/// order is `bias + Σ_k`; in `Naive` mode it is `Σ_k` then `+ bias`. Each
-/// mode is individually deterministic across thread counts.
+/// `a·b + bias` (bias broadcast over rows) — fused dense-layer forward. Each
+/// mode is deterministic across thread counts (see [`matmul_bias_chunk`]).
 pub(crate) fn matmul_bias(
     m: usize,
     k: usize,
@@ -870,17 +1142,8 @@ pub(crate) fn matmul_bias(
     debug_assert_eq!(out.len(), m * n);
     let _t = KernelTimer::begin();
     let mode = kernel_mode();
-    par_rows(out, m, n, m * k * n, &|r0, _nrows, chunk| match mode {
-        KernelMode::Blocked if n == 1 && k > 0 => matvec_bias_rows(a, b, bias[0], k, r0, chunk),
-        KernelMode::Blocked => matmul_bias_rows(a, b, bias, k, n, r0, chunk),
-        KernelMode::Naive => {
-            matmul_rows_naive(a, b, k, n, r0, chunk);
-            for orow in chunk.chunks_exact_mut(n.max(1)) {
-                for (o, &bv) in orow.iter_mut().zip(bias) {
-                    *o += bv;
-                }
-            }
-        }
+    par_rows(out, m, n, m * k * n, &|r0, _nrows, chunk| {
+        matmul_bias_chunk(mode, a, b, bias, k, n, r0, chunk)
     });
 }
 
@@ -910,21 +1173,63 @@ pub(crate) fn matmul_tn(
     );
 }
 
+/// `Σ_s a_sᵀ·b_s` over `segments` (`a_s: r_s×c`, `b_s: r_s×n`; output
+/// `c×n`), added latest segment first — the order in which a per-step tape
+/// accumulates a weight shared by every step. Each segment's product is the
+/// [`matmul_tn`] row kernel's, so the result is bitwise per-segment
+/// `matmul_tn` followed by in-order `add_assign`s. `scratch` (length `c·n`)
+/// holds one segment's product; it is split across workers with the
+/// output, so no worker allocates.
+pub(crate) fn matmul_tn_segmented(
+    a_cols: usize,
+    n: usize,
+    segments: &[(&[f32], &[f32])],
+    out: &mut [f32],
+    scratch: &mut [f32],
+) {
+    debug_assert_eq!(out.len(), a_cols * n);
+    debug_assert_eq!(scratch.len(), a_cols * n);
+    let _t = KernelTimer::begin();
+    let mode = kernel_mode();
+    let rows: usize = segments.iter().map(|(_, b)| b.len() / n.max(1)).sum();
+    let segment = |(a, b): &(&[f32], &[f32]), c0: usize, nrows: usize, dst: &mut [f32]| {
+        let len = a.len().checked_div(a_cols).unwrap_or(0);
+        debug_assert_eq!(b.len(), len * n, "segment row mismatch");
+        match mode {
+            KernelMode::Blocked => matmul_tn_rows_blocked(a, b, len, a_cols, n, c0, nrows, dst),
+            KernelMode::Naive => matmul_tn_rows_naive(a, b, len, a_cols, n, c0, nrows, dst),
+        }
+    };
+    par_rows2(
+        out,
+        n,
+        scratch,
+        n,
+        a_cols,
+        rows * a_cols * n,
+        &|c0, nrows, chunk, part| {
+            let (last, earlier) = segments.split_last().expect("at least one segment");
+            segment(last, c0, nrows, chunk);
+            for seg in earlier.iter().rev() {
+                segment(seg, c0, nrows, part);
+                for (o, &p) in chunk.iter_mut().zip(part.iter()) {
+                    *o += p;
+                }
+            }
+        },
+    );
+}
+
 /// `a·bᵀ` for `a: m×k`, `b: j×k` (output `m×j`), without materialising `bᵀ`.
 pub(crate) fn matmul_nt(m: usize, k: usize, jrows: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(out.len(), m * jrows);
     let _t = KernelTimer::begin();
     let mode = kernel_mode();
-    par_rows(
-        out,
-        m,
-        jrows,
-        m * k * jrows,
-        &|r0, nrows, chunk| match mode {
-            KernelMode::Blocked => matmul_nt_rows_blocked(a, b, k, jrows, r0, nrows, chunk),
-            KernelMode::Naive => matmul_nt_rows_naive(a, b, k, jrows, r0, nrows, chunk),
-        },
-    );
+    let panels = pack_nt_panels(b, jrows, k);
+    par_rows(out, m, jrows, m * k * jrows, &|r0, nrows, chunk| {
+        matmul_nt_chunk(mode, a, b, &panels, k, jrows, r0, nrows, chunk, false)
+    });
+    recycle(panels);
 }
 
 /// Batched product of 3-D tensors packed as 2-D (see
@@ -959,7 +1264,7 @@ pub(crate) fn batched_matmul(
                     matmul_nt_rows_blocked(aslice, bslice, p, n, 0, m, oslice)
                 }
                 (true, KernelMode::Naive) => {
-                    matmul_nt_rows_naive(aslice, bslice, p, n, 0, m, oslice)
+                    matmul_nt_rows_naive(aslice, bslice, p, n, 0, m, oslice, false)
                 }
             }
         }
@@ -990,7 +1295,7 @@ pub(crate) fn batched_matmul_grads(
     debug_assert_eq!(ga.len(), batch * m * p);
     debug_assert_eq!(gb.len(), batch * bsl);
     let mode = kernel_mode();
-    let kernel = |s0: usize, ga_chunk: &mut [f32], gb_chunk: &mut [f32]| {
+    let kernel = |s0: usize, _ns: usize, ga_chunk: &mut [f32], gb_chunk: &mut [f32]| {
         for (s, (gas, gbs)) in ga_chunk
             .chunks_exact_mut((m * p).max(1))
             .zip(gb_chunk.chunks_exact_mut(bsl.max(1)))
@@ -1015,36 +1320,13 @@ pub(crate) fn batched_matmul_grads(
                     matmul_tn_rows_blocked(aslice, gslice, m, p, n, 0, p, gbs);
                 }
                 (false, KernelMode::Naive) => {
-                    matmul_nt_rows_naive(gslice, bslice, n, p, 0, m, gas);
+                    matmul_nt_rows_naive(gslice, bslice, n, p, 0, m, gas, false);
                     matmul_tn_rows_naive(aslice, gslice, m, p, n, 0, p, gbs);
                 }
             }
         }
     };
-    let nt = plan_threads(batch, 2 * batch * m * p * n);
-    if nt <= 1 || ga.is_empty() {
-        bump(&SERIAL_REGIONS, 1);
-        kernel(0, ga, gb);
-    } else {
-        bump(&PAR_REGIONS, 1);
-        bump(&PAR_WORKERS, nt as u64);
-        let chunk_slices = batch.div_ceil(nt);
-        let kernel = &kernel;
-        std::thread::scope(|s| {
-            let mut ga_rest = &mut *ga;
-            let mut gb_rest = &mut *gb;
-            let mut s0 = 0;
-            while s0 + chunk_slices < batch {
-                let (ga_head, ga_tail) = ga_rest.split_at_mut(chunk_slices * m * p);
-                let (gb_head, gb_tail) = gb_rest.split_at_mut(chunk_slices * bsl);
-                ga_rest = ga_tail;
-                gb_rest = gb_tail;
-                s.spawn(move || kernel(s0, ga_head, gb_head));
-                s0 += chunk_slices;
-            }
-            kernel(s0, ga_rest, gb_rest);
-        });
-    }
+    par_rows2(ga, m * p, gb, bsl, batch, 2 * batch * m * p * n, &kernel);
 }
 
 /// Element-wise map into `out`, row-partitioned across the pool for large
@@ -1211,6 +1493,29 @@ mod tests {
             let naive = with_kernel_mode(KernelMode::Naive, || mm(65, k, 1, &a, &b));
             for (s, n) in serial.iter().zip(&naive) {
                 assert!((s - n).abs() < 1e-4, "k {k}: {s} vs {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_nt_kernel_is_dot_lanes_per_element() {
+        // Shared dimensions on both sides of the dot8/dot16 switch, with and
+        // without tails; column counts on both sides of the eight-wide blocks.
+        for k in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 64, 100, 142] {
+            for jrows in [1usize, 7, 8, 9, 17, 142] {
+                let m = 5;
+                let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
+                let b: Vec<f32> = (0..jrows * k).map(|i| (i as f32 * 0.11).cos()).collect();
+                let panels = pack_nt_panels(&b, jrows, k);
+                let mut per_element = vec![0.0f32; m * jrows];
+                matmul_nt_rows_blocked(&a, &b, k, jrows, 0, m, &mut per_element);
+                let mut wide = vec![7.0f32; m * jrows];
+                matmul_nt_rows_wide(&a, &b, &panels, k, jrows, 0, m, &mut wide, false);
+                assert_eq!(wide, per_element, "k {k}, jrows {jrows}");
+                let mut added = per_element.clone();
+                matmul_nt_rows_wide(&a, &b, &panels, k, jrows, 0, m, &mut added, true);
+                let doubled: Vec<f32> = per_element.iter().map(|&x| x + x).collect();
+                assert_eq!(added, doubled, "accumulate: k {k}, jrows {jrows}");
             }
         }
     }

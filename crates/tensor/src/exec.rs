@@ -25,16 +25,23 @@
 //!
 //! On top of the primitive vocabulary the trait offers *fusable composites*
 //! as default methods: [`Exec::linear_act`], [`Exec::mul_add`],
-//! [`Exec::softmax_rows_scaled`], [`Exec::gather_concat`], and the
-//! packed-GRU pair [`Exec::pack_gru`] / [`Exec::gru_step_packed`].
-//! The defaults expand to the primitive ops, so [`Tape`] keeps its unfused
-//! reference implementation (and its autodiff graph) untouched. [`ValueExec`]
-//! overrides them with single-pass fused kernels whose per-element arithmetic
-//! replays the unfused op sequence exactly — fused and unfused outputs are
+//! [`Exec::softmax_rows_scaled`], [`Exec::gather_concat`], the packed-GRU
+//! pair [`Exec::pack_gru`] / [`Exec::gru_step_packed`], and the GRU
+//! recurrence [`Exec::gru_step`] / [`Exec::gru_unroll`]. The defaults expand
+//! to the primitive ops. [`ValueExec`] overrides the first five with
+//! single-pass fused kernels whose per-element arithmetic replays the
+//! unfused op sequence exactly — fused and unfused outputs are
 //! bit-identical, which `tests/exec_equivalence.rs` pins at 1 and 4 threads.
 //! Fusion is always on in production; [`with_fusion`] turns it off for one
 //! scope so the equivalence tests can run the unfused expansions as their
 //! oracle.
+//!
+//! The tape records every composite as its primitive ops except one:
+//! [`Tape`] overrides [`Exec::gru_unroll`] with a single autodiff node for
+//! the whole recurrence ([`Tape::gru_unroll`]), whose values *and
+//! gradients* are bit-identical to the per-step ops it replaces
+//! (`crates/tensor/tests/parallel_determinism.rs` pins both at 1, 2 and 4
+//! threads).
 
 use std::cell::Cell;
 
@@ -254,14 +261,29 @@ pub(crate) mod kernels {
         out
     }
 
-    /// Fused GRU step on packed gate weights: two GEMMs (`x·[W_r|W_z|W_n]+b`
-    /// and `h·[U_r|U_z|U_n]`), then one element-wise pass computing
-    /// `r`, `z`, candidate `n`, the convex update, and (optionally) the
-    /// per-row mask blend. Per element the arithmetic replays the unfused op
-    /// sequence exactly — see [`crate::exec::Exec::gru_step_packed`]'s
-    /// default body — so fused and unfused steps are bit-identical.
+    /// One GRU element from its gate pre-activations: `x = [x·W_r+b_r,
+    /// x·W_z+b_z, x·W_n+b_n]` and `hu = [h·U_r, h·U_z, h·U_n]` at this
+    /// position, and the previous state `h`. Returns `(r, z, n, h')`. The
+    /// arithmetic replays the unfused op sequence of
+    /// [`crate::exec::Exec::gru_step`] exactly, so every fused GRU kernel
+    /// built on it is bit-identical to the per-gate ops.
     // `-1.0 * v + 1.0` is kept literally: it replays the unfused
     // `affine(v, -1.0, 1.0)` arithmetic the bit-identity contract pins.
+    #[allow(clippy::neg_multiply)]
+    #[inline(always)]
+    pub fn gru_elem(x: [f32; 3], hu: [f32; 3], h: f32) -> (f32, f32, f32, f32) {
+        let r = sigmoid(x[0] + hu[0]);
+        let z = sigmoid(x[1] + hu[1]);
+        let n = (x[2] + r * hu[2]).tanh();
+        let zh = z * h;
+        let omz = -1.0 * z + 1.0;
+        (r, z, n, zh + omz * n)
+    }
+
+    /// Fused GRU step on packed gate weights: two GEMMs (`x·[W_r|W_z|W_n]+b`
+    /// and `h·[U_r|U_z|U_n]`), then one element-wise pass ([`gru_elem`] and
+    /// the optional per-row mask blend), bit-identical to the unfused step.
+    // `-1.0 * mv + 1.0` replays the unfused `one_minus` (see `gru_elem`).
     #[allow(clippy::neg_multiply)]
     pub fn gru_step_fused(
         w: &Matrix,
@@ -289,12 +311,11 @@ pub(crate) mod kernels {
                 None => (1.0, 0.0),
             };
             for (j, o) in out.row_mut(i).iter_mut().enumerate() {
-                let r = sigmoid(xw[j] + hr[j]);
-                let z = sigmoid(xw[hidden + j] + hr[hidden + j]);
-                let n = (xw[2 * hidden + j] + r * hr[2 * hidden + j]).tanh();
-                let zh = z * hrow[j];
-                let omz = -1.0 * z + 1.0;
-                let cand = zh + omz * n;
+                let (_, _, _, cand) = gru_elem(
+                    [xw[j], xw[hidden + j], xw[2 * hidden + j]],
+                    [hr[j], hr[hidden + j], hr[2 * hidden + j]],
+                    hrow[j],
+                );
                 *o = if mask.is_some() {
                     cand * mv + hrow[j] * inv
                 } else {
@@ -375,6 +396,79 @@ pub struct GruPacked<V> {
     pub u: V,
     pub b: V,
     pub hidden: usize,
+}
+
+/// A GRU's nine per-gate parameter handles in the fixed `r, z, n` gate
+/// order, pushed into a context once per forward and shared by every step.
+/// `packed` holds the column-packed `[r|z|n]` matrices when the engine
+/// fuses (see [`Exec::pack_gru`]).
+#[derive(Debug, Clone)]
+pub struct GruVars<V> {
+    pub(crate) w_r: V,
+    pub(crate) u_r: V,
+    pub(crate) b_r: V,
+    pub(crate) w_z: V,
+    pub(crate) u_z: V,
+    pub(crate) b_z: V,
+    pub(crate) w_n: V,
+    pub(crate) u_n: V,
+    pub(crate) b_n: V,
+    pub(crate) packed: Option<GruPacked<V>>,
+}
+
+impl<V> GruVars<V> {
+    /// Wraps the nine handles (`[w_r, u_r, b_r, w_z, u_z, b_z, w_n, u_n,
+    /// b_n]`) and offers them to [`Exec::pack_gru`].
+    pub fn new<E: Exec<V = V> + ?Sized>(exec: &mut E, handles: [V; 9]) -> Self {
+        let [w_r, u_r, b_r, w_z, u_z, b_z, w_n, u_n, b_n] = handles;
+        let packed = exec.pack_gru(GruGates {
+            w_r: &w_r,
+            u_r: &u_r,
+            b_r: &b_r,
+            w_z: &w_z,
+            u_z: &u_z,
+            b_z: &b_z,
+            w_n: &w_n,
+            u_n: &u_n,
+            b_n: &b_n,
+        });
+        GruVars {
+            w_r,
+            u_r,
+            b_r,
+            w_z,
+            u_z,
+            b_z,
+            w_n,
+            u_n,
+            b_n,
+            packed,
+        }
+    }
+}
+
+/// The per-step GRU unroll: [`Exec::gru_step`] with each step's mask, from
+/// `h0`, returning the state after every step. This is [`Exec::gru_unroll`]'s
+/// default body; it is public so the tape's one-node override can be
+/// checked against it on the same engine.
+pub fn gru_unroll_steps<E: Exec + ?Sized>(
+    exec: &mut E,
+    vars: &GruVars<E::V>,
+    h0: &E::V,
+    xs: &[E::V],
+    masks: &[E::V],
+) -> Vec<E::V> {
+    assert_eq!(
+        xs.len(),
+        masks.len(),
+        "gru_unroll: xs/masks length mismatch"
+    );
+    let mut states: Vec<E::V> = Vec::with_capacity(xs.len());
+    for (x, m) in xs.iter().zip(masks) {
+        let next = exec.gru_step(vars, x, states.last().unwrap_or(h0), Some(m));
+        states.push(next);
+    }
+    states
 }
 
 /// An execution context for forward passes.
@@ -578,6 +672,69 @@ pub trait Exec {
             }
         }
     }
+
+    /// One GRU step (`x`: `batch × in`, `h`: `batch × hidden`), optionally
+    /// mask-blended (`mask`: `batch × 1`, 1 = real step, 0 = padding that
+    /// carries `h` forward). Runs [`Exec::gru_step_packed`] when the gates
+    /// were packed; otherwise the per-gate op sequence — six GEMMs and the
+    /// element-wise ops, one tape node each — which is the reference every
+    /// fused GRU kernel replays.
+    fn gru_step(
+        &mut self,
+        vars: &GruVars<Self::V>,
+        x: &Self::V,
+        h: &Self::V,
+        mask: Option<&Self::V>,
+    ) -> Self::V {
+        if let Some(p) = &vars.packed {
+            return self.gru_step_packed(p, x, h, mask);
+        }
+        let xwb = self.linear(x, &vars.w_r, &vars.b_r);
+        let hu = self.matmul(h, &vars.u_r);
+        let r = self.add(&xwb, &hu);
+        let r = self.sigmoid(&r);
+        let xwb = self.linear(x, &vars.w_z, &vars.b_z);
+        let hu = self.matmul(h, &vars.u_z);
+        let z = self.add(&xwb, &hu);
+        let z = self.sigmoid(&z);
+        // Candidate with reset applied to the recurrent term.
+        let xwb = self.linear(x, &vars.w_n, &vars.b_n);
+        let hu = self.matmul(h, &vars.u_n);
+        let rhu = self.mul(&r, &hu);
+        let pre = self.add(&xwb, &rhu);
+        let n = self.tanh(&pre);
+        // h' = z∘h + (1−z)∘n
+        let zh = self.mul(&z, h);
+        let omz = self.one_minus(&z);
+        let zn = self.mul(&omz, &n);
+        let cand = self.add(&zh, &zn);
+        match mask {
+            None => cand,
+            Some(m) => {
+                let kept = self.mul_col(&cand, m);
+                let inv = self.one_minus(m);
+                let carried = self.mul_col(h, &inv);
+                self.add(&kept, &carried)
+            }
+        }
+    }
+
+    /// Unrolls a GRU over `xs` (each `batch × in`) with constant per-step
+    /// masks (`batch × 1`) from `h0`, returning the state after each step.
+    /// The default is the per-step loop ([`gru_unroll_steps`]), which
+    /// [`ValueExec`] keeps. [`Tape`] records the whole unroll as one node
+    /// whose forward and backward each run as one parallel region over the
+    /// batch rows, with bit-identical values and gradients (see
+    /// [`Tape::gru_unroll`]).
+    fn gru_unroll(
+        &mut self,
+        vars: &GruVars<Self::V>,
+        h0: &Self::V,
+        xs: &[Self::V],
+        masks: &[Self::V],
+    ) -> Vec<Self::V> {
+        gru_unroll_steps(self, vars, h0, xs, masks)
+    }
 }
 
 /// The training engine: every op records an autodiff node (see [`Tape`]'s
@@ -672,6 +829,10 @@ impl Exec for Tape {
 
     fn softmax_rows(&mut self, x: &Var) -> Var {
         Tape::softmax_rows(self, *x)
+    }
+
+    fn gru_unroll(&mut self, vars: &GruVars<Var>, h0: &Var, xs: &[Var], masks: &[Var]) -> Vec<Var> {
+        Tape::gru_unroll(self, vars, *h0, xs, masks)
     }
 }
 

@@ -469,6 +469,29 @@ impl Matrix {
         out
     }
 
+    /// `Σ_s a_sᵀ · b_s` over `segments` (each pair with equal row counts,
+    /// which may differ between pairs), added latest segment first. Bitwise
+    /// equal to per-segment [`Matrix::matmul_tn`] followed by `add_assign`s
+    /// in that order — how a per-step tape accumulates a weight shared by
+    /// every step — but one parallel region for the whole sum.
+    pub fn matmul_tn_segmented(segments: &[(&Matrix, &Matrix)]) -> Matrix {
+        let (a0, b0) = segments.first().expect("matmul_tn_segmented: no segments");
+        for (a, b) in segments {
+            assert_eq!(a.rows, b.rows, "matmul_tn_segmented: segment row mismatch");
+            assert_eq!(
+                (a.cols, b.cols),
+                (a0.cols, b0.cols),
+                "matmul_tn_segmented: widths"
+            );
+        }
+        let mut out = Matrix::uninit(a0.cols, b0.cols);
+        let mut scratch = Matrix::uninit(a0.cols, b0.cols);
+        let slices: Vec<(&[f32], &[f32])> =
+            segments.iter().map(|(a, b)| (a.data(), b.data())).collect();
+        backend::matmul_tn_segmented(a0.cols, b0.cols, &slices, &mut out.data, &mut scratch.data);
+        out
+    }
+
     /// `self · rhsᵀ` without materialising the transpose.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(

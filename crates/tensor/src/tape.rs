@@ -12,12 +12,16 @@
 //! that expresses *every* risk in the paper — PN (Eq. 4), NDB (Eq. 5), the
 //! unbiased attention risk (Eq. 16), the unbiased propensity risk (Eq. 17)
 //! and the downstream re-weighted recommendation risk (Eq. 18) — as different
-//! per-example positive/negative weights.
+//! per-example positive/negative weights. One node covers a whole GRU unroll
+//! ([`Tape::gru_unroll`], in `tape/gru.rs`); its values and gradients are
+//! bit-identical to the per-step ops it stands for.
 
 use crate::backend;
 use crate::exec::kernels;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, Params};
+
+mod gru;
 
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +108,22 @@ enum Op {
         /// Which elements were clamped in the forward pass (zero gradient).
         clamped: Vec<bool>,
     },
+    /// A whole masked GRU unroll (see [`Tape::gru_unroll`]); its per-step
+    /// states are the [`Op::GruState`] nodes that follow it.
+    GruUnroll(Box<gru::GruUnroll>),
+    /// The state after one step of the [`Op::GruUnroll`] node before it. Its
+    /// gradient stays in place for that node to read.
+    GruState,
+}
+
+/// Accumulates `delta` into `grads[target]`. Takes ownership — the common
+/// first-visit case stores the buffer instead of cloning it; on later visits
+/// the delta's buffer returns to the scratch pool.
+fn acc(grads: &mut [Option<Matrix>], target: usize, delta: Matrix) {
+    match &mut grads[target] {
+        Some(g) => g.add_assign(&delta),
+        slot @ None => *slot = Some(delta),
+    }
 }
 
 struct Node {
@@ -370,6 +390,10 @@ impl Tape {
         )
     }
 
+    fn is_input(&self, v: Var) -> bool {
+        matches!(self.nodes[v.0].op, Op::Input)
+    }
+
     // -------------------------------------------------------------- backward
 
     /// Reverse pass from `loss` (which must be 1×1), accumulating parameter
@@ -385,17 +409,11 @@ impl Tape {
         let mut grads: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
         grads[loss.0] = Some(Matrix::scalar(1.0));
 
-        // Helper: accumulate `delta` into `grads[target]`. Takes ownership —
-        // the common first-visit case stores the buffer instead of cloning
-        // it; on later visits the delta's buffer returns to the scratch pool.
-        fn acc(grads: &mut [Option<Matrix>], target: usize, delta: Matrix) {
-            match &mut grads[target] {
-                Some(g) => g.add_assign(&delta),
-                slot @ None => *slot = Some(delta),
-            }
-        }
-
         for idx in (0..n).rev() {
+            if let Op::GruUnroll(u) = &self.nodes[idx].op {
+                self.gru_unroll_backward(idx, u, &mut grads);
+                continue;
+            }
             let g = match grads[idx].take() {
                 Some(g) => g,
                 None => continue,
@@ -602,6 +620,8 @@ impl Tape {
                     });
                     acc(&mut grads, logits.0, gx);
                 }
+                Op::GruState => grads[idx] = Some(g),
+                Op::GruUnroll(_) => unreachable!("handled before the gradient is taken"),
             }
         }
     }
