@@ -63,7 +63,7 @@ fn main() {
         ds.num_events()
     );
 
-    // Construction-time collision measurement over the real schema
+    // Collision measurement over the real schema's
     // cardinalities (seeded mapping — independent of init values and training).
     let schema = schema_for(&cfg);
     let probe = HashedEmbedding::new(

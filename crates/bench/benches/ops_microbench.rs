@@ -6,8 +6,8 @@ use uae_core::{Phase, PnRisk, RiskEstimator, WeightCtx};
 use uae_data::{generate, seq_batches, SimConfig};
 use uae_nn::GruCell;
 use uae_tensor::{
-    gru_unroll_steps, with_kernel_mode, with_num_threads, KernelMode, Matrix, Params, Rng, Tape,
-    Var,
+    arena, gru_unroll_steps, with_kernel_mode, with_num_threads, Exec, KernelMode, Matrix, Params,
+    Rng, Tape, ValueExec, Var,
 };
 
 fn bench_matmul(c: &mut Criterion) {
@@ -46,7 +46,9 @@ fn bench_gemm_kernels(c: &mut Criterion) {
 /// One GRU₁ unroll forward and backward on the tape at the benchmark's
 /// `train` shapes (batch 64, input 142, hidden 32, 18 steps, every row
 /// live): the per-step op sequence the tape used to record, against the
-/// one-node [`Tape::gru_unroll`]. Both produce the same bits.
+/// one-node [`Tape::gru_unroll`]. Both produce the same bits. Beside them,
+/// the tape-free forward alone (`ValueExec::gru_unroll`, one arena scope
+/// as in serving), which runs the tape node's forward kernel.
 fn bench_gru_unroll(c: &mut Criterion) {
     let (batch, in_dim, hidden, steps) = (64, 142, 32, 18);
     let mut rng = Rng::seed_from_u64(2);
@@ -88,6 +90,20 @@ fn bench_gru_unroll(c: &mut Criterion) {
             },
         );
     }
+    let masks: Vec<Matrix> = (0..steps).map(|_| mask.clone()).collect();
+    c.bench_function(
+        &format!("gru_unroll_b{batch}_in{in_dim}_h{hidden}_t{steps}_value"),
+        |bench| {
+            bench.iter(|| {
+                arena::scoped(|| {
+                    let mut vx = ValueExec::new();
+                    let vars = cell.param_vars(&mut vx, &params);
+                    let h0 = cell.zero_state(&mut vx, batch);
+                    std::hint::black_box(vx.gru_unroll(&vars, &h0, &xs, &masks));
+                })
+            })
+        },
+    );
 }
 
 fn bench_uae_training_step(c: &mut Criterion) {

@@ -83,18 +83,16 @@ impl GruCell {
     /// returning handles for [`Exec::gru_step`] / [`Exec::gru_unroll`]. A
     /// time-loop that re-pushed parameters every step would snapshot (clone)
     /// all nine matrices per timestep; hoisting makes that once per unroll.
-    ///
-    /// Also offers the gates to [`Exec::pack_gru`]: a fusing engine returns
-    /// column-packed `[r|z|n]` weights and every step runs the fused
-    /// [`Exec::gru_step_packed`] kernel (two GEMMs + one element-wise pass
-    /// instead of six GEMMs + a dozen element-wise ops), bit-identically.
+    /// Both engines' [`Exec::gru_unroll`] then run the fused unroll kernel
+    /// on these handles (two GEMMs and one element-wise pass per step
+    /// instead of six GEMMs and a dozen element-wise ops), bit-identically.
     pub fn param_vars<E: Exec>(&self, exec: &mut E, params: &Params) -> GruVars<E::V> {
         let handles = [
             self.w_r, self.u_r, self.b_r, self.w_z, self.u_z, self.b_z, self.w_n, self.u_n,
             self.b_n,
         ]
         .map(|id| exec.param(params, id));
-        GruVars::new(exec, handles)
+        GruVars::new(handles)
     }
 
     /// Zero initial state for a batch.

@@ -19,8 +19,9 @@
 //! fixed constant rather than any training seed.
 //!
 //! Collision rates are measured exactly (or by stride-sampling for huge
-//! cardinalities) at construction and exported as `nn.hash.*` gauges
-//! through [`uae_obs`].
+//! cardinalities) on call, and exported as `nn.hash.*` gauges through
+//! [`uae_obs`] at construction when telemetry is on; a build with no sink
+//! does O(fields) work, like a dense one.
 //!
 //! [`EmbeddingBank`] is the switch point: every network embeds through it,
 //! and a [`HashConfig`] in the model config flips a field bank from dense
@@ -104,13 +105,12 @@ pub struct HashedEmbedding {
     rows: Vec<usize>,
     dim: usize,
     config: HashConfig,
-    collision_rates: Vec<f64>,
 }
 
 impl HashedEmbedding {
-    /// Registers one `min(buckets, cardinality)`-row table per field,
-    /// measures per-field collision rates, and exports them as
-    /// `nn.hash.collision_rate.field{f}` gauges.
+    /// Registers one `min(buckets, cardinality)`-row table per field. When
+    /// telemetry is on, also measures the per-field collision rates and
+    /// exports them as `nn.hash.collision_rate.field{f}` gauges.
     pub fn new(
         name: &str,
         cardinalities: &[usize],
@@ -132,22 +132,21 @@ impl HashedEmbedding {
             .enumerate()
             .map(|(f, &r)| params.register(format!("{name}.hashed{f}"), r, dim, Init::Embedding))
             .collect();
-        let mut emb = HashedEmbedding {
+        let emb = HashedEmbedding {
             tables,
             cardinalities: cardinalities.to_vec(),
             rows,
             dim,
             config,
-            collision_rates: Vec::new(),
         };
-        emb.collision_rates = (0..cardinalities.len())
-            .map(|f| emb.measure_collision_rate(f))
-            .collect();
-        for (f, rate) in emb.collision_rates.iter().enumerate() {
-            uae_obs::gauge(&format!("nn.hash.collision_rate.field{f}"), *rate);
-            uae_obs::gauge(&format!("nn.hash.table_rows.field{f}"), emb.rows[f] as f64);
+        if uae_obs::enabled() {
+            let rates = emb.collision_rates();
+            for (f, rate) in rates.iter().enumerate() {
+                uae_obs::gauge(&format!("nn.hash.collision_rate.field{f}"), *rate);
+                uae_obs::gauge(&format!("nn.hash.table_rows.field{f}"), emb.rows[f] as f64);
+            }
+            uae_obs::gauge("nn.hash.collision_rate.mean", mean(&rates));
         }
-        uae_obs::gauge("nn.hash.collision_rate.mean", emb.mean_collision_rate());
         emb
     }
 
@@ -177,18 +176,17 @@ impl HashedEmbedding {
     }
 
     /// Fraction of (sampled) categories per field whose full multi-hash
-    /// signature collides with an earlier category's.
-    pub fn collision_rates(&self) -> &[f64] {
-        &self.collision_rates
+    /// signature collides with an earlier category's. Measured on call:
+    /// linear in each hashed field's cardinality (up to a 2M-id sample).
+    pub fn collision_rates(&self) -> Vec<f64> {
+        (0..self.num_fields())
+            .map(|f| self.measure_collision_rate(f))
+            .collect()
     }
 
     /// Mean of [`HashedEmbedding::collision_rates`] over fields.
     pub fn mean_collision_rate(&self) -> f64 {
-        if self.collision_rates.is_empty() {
-            0.0
-        } else {
-            self.collision_rates.iter().sum::<f64>() / self.collision_rates.len() as f64
-        }
+        mean(&self.collision_rates())
     }
 
     /// Per-hash stream seed for `(field, hash_j)`.
@@ -306,6 +304,15 @@ impl HashedEmbedding {
     }
 }
 
+/// Mean of `rates` (0 for no fields).
+fn mean(rates: &[f64]) -> f64 {
+    if rates.is_empty() {
+        0.0
+    } else {
+        rates.iter().sum::<f64>() / rates.len() as f64
+    }
+}
+
 /// A field-embedding bank that is either dense (one row per category) or
 /// hashed (bucketed, multi-hash). Networks embed through this enum so a
 /// single config switch retargets every model, dense or hashed, with no
@@ -358,10 +365,10 @@ impl EmbeddingBank {
         matches!(self, EmbeddingBank::Hashed(_))
     }
 
-    /// Per-field collision rates (empty for a dense bank).
-    pub fn collision_rates(&self) -> &[f64] {
+    /// Per-field collision rates (empty for a dense bank), measured on call.
+    pub fn collision_rates(&self) -> Vec<f64> {
         match self {
-            EmbeddingBank::Dense(_) => &[],
+            EmbeddingBank::Dense(_) => Vec::new(),
             EmbeddingBank::Hashed(e) => e.collision_rates(),
         }
     }
@@ -454,6 +461,17 @@ mod tests {
         assert_eq!(emb.collision_rates()[1], 0.0);
         assert!(emb.collision_rates()[0] > 0.0); // 1000 ids into 64 buckets
         assert!(emb.collision_rates()[0] < 0.05); // ...but 2 hashes + signs mitigate
+    }
+
+    #[test]
+    fn a_build_under_a_sink_emits_the_mean_collision_gauge() {
+        let sink = std::sync::Arc::new(uae_obs::MemorySink::new());
+        let (emb, _) = uae_obs::with_sink(sink.clone(), || build(64, 2));
+        let mean = uae_obs::Event::Gauge {
+            name: "nn.hash.collision_rate.mean".into(),
+            value: emb.mean_collision_rate(),
+        };
+        assert!(sink.events().contains(&mean), "{:?}", sink.events());
     }
 
     #[test]

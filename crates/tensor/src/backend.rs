@@ -503,6 +503,22 @@ pub(crate) fn split_rows<'a>(
         .collect()
 }
 
+/// Cuts every buffer of `bufs` (given with its row width) at the row ranges
+/// of `chunks`: entry `k` of the result holds chunk `k`'s rows of each
+/// buffer, in order.
+pub(crate) fn split_bufs<'a>(
+    bufs: impl IntoIterator<Item = (&'a mut [f32], usize)>,
+    chunks: &[(usize, usize)],
+) -> Vec<Vec<&'a mut [f32]>> {
+    let mut parts: Vec<Vec<&mut [f32]>> = chunks.iter().map(|_| Vec::new()).collect();
+    for (buf, width) in bufs {
+        for (part, rows) in parts.iter_mut().zip(split_rows(buf, width, chunks)) {
+            part.push(rows);
+        }
+    }
+    parts
+}
+
 /// Runs `work` on every part with `workers` threads: `workers − 1` scoped
 /// workers and the calling thread each claim the next unclaimed part until
 /// none is left. A worker that starts late (its vCPU busy elsewhere) claims

@@ -25,23 +25,25 @@
 //!
 //! On top of the primitive vocabulary the trait offers *fusable composites*
 //! as default methods: [`Exec::linear_act`], [`Exec::mul_add`],
-//! [`Exec::softmax_rows_scaled`], [`Exec::gather_concat`], the packed-GRU
-//! pair [`Exec::pack_gru`] / [`Exec::gru_step_packed`], and the GRU
+//! [`Exec::softmax_rows_scaled`], [`Exec::gather_concat`] and the GRU
 //! recurrence [`Exec::gru_step`] / [`Exec::gru_unroll`]. The defaults expand
-//! to the primitive ops. [`ValueExec`] overrides the first five with
-//! single-pass fused kernels whose per-element arithmetic replays the
-//! unfused op sequence exactly — fused and unfused outputs are
-//! bit-identical, which `tests/exec_equivalence.rs` pins at 1 and 4 threads.
-//! Fusion is always on in production; [`with_fusion`] turns it off for one
-//! scope so the equivalence tests can run the unfused expansions as their
-//! oracle.
+//! to the primitive ops. [`ValueExec`] overrides the first four and
+//! [`Exec::gru_unroll`] with single-pass fused kernels whose per-element
+//! arithmetic replays the unfused op sequence exactly — fused and unfused
+//! outputs are bit-identical, which `tests/exec_equivalence.rs` pins at 1
+//! and 4 threads. Fusion is always on in production; [`with_fusion`] turns
+//! it off for one scope so the equivalence tests can run the unfused
+//! expansions as their oracle. [`Exec::gru_step`] is per-gate on both
+//! engines.
 //!
 //! The tape records every composite as its primitive ops except one:
 //! [`Tape`] overrides [`Exec::gru_unroll`] with a single autodiff node for
-//! the whole recurrence ([`Tape::gru_unroll`]), whose values *and
-//! gradients* are bit-identical to the per-step ops it replaces
-//! (`crates/tensor/tests/parallel_determinism.rs` pins both at 1, 2 and 4
-//! threads).
+//! the whole recurrence ([`Tape::gru_unroll`]). Its forward is the same
+//! kernel `ValueExec` runs (`kernels::gru_unroll`), split over row blocks
+//! and keeping the activations its backward needs; values *and gradients*
+//! are bit-identical to the per-step ops it replaces
+//! (`crates/tensor/tests/parallel_determinism.rs` pins both, and the
+//! tape-free unroll's values, at 1, 2 and 4 threads).
 
 use std::cell::Cell;
 
@@ -261,69 +263,115 @@ pub(crate) mod kernels {
         out
     }
 
-    /// One GRU element from its gate pre-activations: `x = [x·W_r+b_r,
-    /// x·W_z+b_z, x·W_n+b_n]` and `hu = [h·U_r, h·U_z, h·U_n]` at this
-    /// position, and the previous state `h`. Returns `(r, z, n, h')`. The
-    /// arithmetic replays the unfused op sequence of
-    /// [`crate::exec::Exec::gru_step`] exactly, so every fused GRU kernel
-    /// built on it is bit-identical to the per-gate ops.
-    // `-1.0 * v + 1.0` is kept literally: it replays the unfused
-    // `affine(v, -1.0, 1.0)` arithmetic the bit-identity contract pins.
-    #[allow(clippy::neg_multiply)]
-    #[inline(always)]
-    pub fn gru_elem(x: [f32; 3], hu: [f32; 3], h: f32) -> (f32, f32, f32, f32) {
-        let r = sigmoid(x[0] + hu[0]);
-        let z = sigmoid(x[1] + hu[1]);
-        let n = (x[2] + r * hu[2]).tanh();
-        let zh = z * h;
-        let omz = -1.0 * z + 1.0;
-        (r, z, n, zh + omz * n)
-    }
+    /// A region's row plan: `(rows, flops)` → its worker count and row
+    /// ranges `(first_row, row_count)`, as `backend::row_chunks` returns.
+    pub type RowPlan = fn(usize, usize) -> (usize, Vec<(usize, usize)>);
 
-    /// Fused GRU step on packed gate weights: two GEMMs (`x·[W_r|W_z|W_n]+b`
-    /// and `h·[U_r|U_z|U_n]`), then one element-wise pass ([`gru_elem`] and
-    /// the optional per-row mask blend), bit-identical to the unfused step.
-    // `-1.0 * mv + 1.0` replays the unfused `one_minus` (see `gru_elem`).
+    /// What a kept [`gru_unroll`] returns for the tape's backward pass: every
+    /// step's gate activations `[r|z|n]` (`batch × 3·hidden`) and `h·U_n`
+    /// (`batch × hidden`).
+    pub type GruKept = (Vec<Matrix>, Vec<Matrix>);
+
+    /// The fused masked GRU unroll both engines run. Per step and batch
+    /// row: `x·[W_r|W_z|W_n] + b`, `h·[U_r|U_z|U_n]`, then one element-wise
+    /// pass of the gates and the mask blend `h'∘m + h∘(1−m)`. Batch rows
+    /// never interact, so each row block of `plan(rows, flops)` runs the
+    /// whole recurrence on its own rows, in one region. Returns every
+    /// step's state, and with `keep` the [`GruKept`] activations (else one
+    /// gate buffer serves every step). `gates` are `[w_r, u_r, b_r, w_z,
+    /// u_z, b_z, w_n, u_n, b_n]`.
+    ///
+    /// Bit-identical to the per-gate ops of [`crate::exec::Exec::gru_step`]
+    /// for any plan: each GEMM element keeps its k-ascending sum, and the
+    /// element-wise pass replays the unfused ops (`1 − v` as the `affine`
+    /// form `-1.0 * v + 1.0`). Not at `hidden ≤ 1`, where the per-gate
+    /// GEMMs take the `n == 1` lane kernel; callers fall back there.
     #[allow(clippy::neg_multiply)]
-    pub fn gru_step_fused(
-        w: &Matrix,
-        u: &Matrix,
-        b: &Matrix,
-        hidden: usize,
-        x: &Matrix,
-        h: &Matrix,
-        mask: Option<&Matrix>,
-    ) -> Matrix {
-        let xwb = linear(x, w, b);
-        let hu = matmul(h, u);
-        let batch = h.rows();
-        let mut out = Matrix::uninit(batch, hidden);
-        for i in 0..batch {
-            let xw = xwb.row(i);
-            let hr = hu.row(i);
-            let hrow = h.row(i);
-            let (mv, inv) = match mask {
-                Some(m) => {
-                    let mv = m.get(i, 0);
-                    // Replays `one_minus` = `affine(m, -1.0, 1.0)` exactly.
-                    (mv, -1.0 * mv + 1.0)
-                }
-                None => (1.0, 0.0),
-            };
-            for (j, o) in out.row_mut(i).iter_mut().enumerate() {
-                let (_, _, _, cand) = gru_elem(
-                    [xw[j], xw[hidden + j], xw[2 * hidden + j]],
-                    [hr[j], hr[hidden + j], hr[2 * hidden + j]],
-                    hrow[j],
-                );
-                *o = if mask.is_some() {
-                    cand * mv + hrow[j] * inv
-                } else {
-                    cand
-                };
-            }
+    pub fn gru_unroll(
+        gates: [&Matrix; 9],
+        h0: &Matrix,
+        xs: &[&Matrix],
+        masks: &[&Matrix],
+        plan: RowPlan,
+        keep: bool,
+    ) -> (Vec<Matrix>, Option<GruKept>) {
+        assert_eq!(
+            xs.len(),
+            masks.len(),
+            "gru_unroll: xs/masks length mismatch"
+        );
+        let [w_r, u_r, b_r, w_z, u_z, b_z, w_n, u_n, b_n] = gates;
+        let (steps, (batch, hidden), in_dim) = (xs.len(), h0.shape(), w_r.rows());
+        let h3 = 3 * hidden;
+        assert_eq!(u_r.cols(), hidden, "gru_unroll: h0 width");
+        for (t, (x, m)) in xs.iter().zip(masks).enumerate() {
+            assert_eq!(x.shape(), (batch, in_dim), "gru_unroll: step {t} input");
+            assert_eq!(m.shape(), (batch, 1), "gru_unroll: step {t} mask");
         }
-        out
+        let w = concat_cols(&[w_r, w_z, w_n]);
+        let u = concat_cols(&[u_r, u_z, u_n]);
+        let b = concat_cols(&[b_r, b_z, b_n]);
+        let per_step = |n: usize, width: usize| -> Vec<Matrix> {
+            (0..n).map(|_| Matrix::uninit(batch, width)).collect()
+        };
+        let kept = if keep { steps } else { 0 };
+        let (mut acts, mut hu_n, mut states) = (
+            per_step(kept.max(1), h3),
+            per_step(kept, hidden),
+            per_step(steps, hidden),
+        );
+        let mut hu = Matrix::uninit(batch, h3);
+        let x_d: Vec<&[f32]> = xs.iter().map(|x| x.data()).collect();
+        let m_d: Vec<&[f32]> = masks.iter().map(|m| m.data()).collect();
+        let (w_d, u_d, b_d, h0_d) = (w.data(), u.data(), b.data(), h0.data());
+        let mode = backend::kernel_mode();
+        let (workers, chunks) = plan(batch, steps * batch * (in_dim + hidden) * h3);
+        let n_acts = acts.len();
+        // Each block's rows of the gate buffers, `h·U_n`, every step's
+        // state, then of the `h·U` scratch.
+        let bufs = (acts.iter_mut().map(|m| (m.data_mut(), h3)))
+            .chain(hu_n.iter_mut().map(|m| (m.data_mut(), hidden)))
+            .chain(states.iter_mut().map(|m| (m.data_mut(), hidden)))
+            .chain([(hu.data_mut(), h3)]);
+        let parts: Vec<_> = chunks
+            .iter()
+            .zip(backend::split_bufs(bufs, &chunks))
+            .collect();
+        backend::par_parts(parts, workers, &|(&(r0, n), mut rows)| {
+            let (g, rest) = rows.split_at_mut(n_acts);
+            let (hn, rest) = rest.split_at_mut(kept);
+            let (st, hu) = rest.split_at_mut(steps);
+            let hu = &mut *hu[0];
+            for t in 0..steps {
+                let g = &mut *g[t.min(n_acts - 1)];
+                backend::matmul_bias_chunk(mode, x_d[t], w_d, b_d, in_dim, h3, r0, g);
+                let (done, rest) = st.split_at_mut(t);
+                let hp: &[f32] = match done.last() {
+                    Some(prev) => prev,
+                    None => &h0_d[r0 * hidden..][..n * hidden],
+                };
+                backend::matmul_chunk(mode, hp, u_d, hidden, h3, 0, hu);
+                for i in 0..n {
+                    let (mv, row) = (m_d[t][r0 + i], i * hidden);
+                    let inv = -1.0 * mv + 1.0;
+                    let (g, hur) = (&mut g[i * h3..][..h3], &hu[i * h3..][..h3]);
+                    for j in 0..hidden {
+                        let (h, k, l) = (hp[row + j], hidden + j, 2 * hidden + j);
+                        let r = sigmoid(g[j] + hur[j]);
+                        let z = sigmoid(g[k] + hur[k]);
+                        let nn = (g[l] + r * hur[l]).tanh();
+                        (g[j], g[k], g[l]) = (r, z, nn);
+                        rest[0][row + j] = (z * h + (-1.0 * z + 1.0) * nn) * mv + h * inv;
+                    }
+                }
+                if let Some(hn) = hn.get_mut(t) {
+                    for (dst, src) in hn.chunks_exact_mut(hidden).zip(hu.chunks_exact(h3)) {
+                        dst.copy_from_slice(&src[2 * hidden..]);
+                    }
+                }
+            }
+        });
+        (states, keep.then_some((acts, hu_n)))
     }
 }
 
@@ -374,34 +422,8 @@ pub enum ActKind {
     Sigmoid,
 }
 
-/// Borrowed per-gate GRU parameters handed to [`Exec::pack_gru`], in the
-/// fixed `r, z, n` gate order.
-pub struct GruGates<'a, V> {
-    pub w_r: &'a V,
-    pub u_r: &'a V,
-    pub b_r: &'a V,
-    pub w_z: &'a V,
-    pub u_z: &'a V,
-    pub b_z: &'a V,
-    pub w_n: &'a V,
-    pub u_n: &'a V,
-    pub b_n: &'a V,
-}
-
-/// Column-packed GRU gate parameters produced by [`Exec::pack_gru`]:
-/// `w: in×3h = [W_r|W_z|W_n]`, `u: h×3h = [U_r|U_z|U_n]`, `b: 1×3h`.
-#[derive(Debug, Clone)]
-pub struct GruPacked<V> {
-    pub w: V,
-    pub u: V,
-    pub b: V,
-    pub hidden: usize,
-}
-
 /// A GRU's nine per-gate parameter handles in the fixed `r, z, n` gate
 /// order, pushed into a context once per forward and shared by every step.
-/// `packed` holds the column-packed `[r|z|n]` matrices when the engine
-/// fuses (see [`Exec::pack_gru`]).
 #[derive(Debug, Clone)]
 pub struct GruVars<V> {
     pub(crate) w_r: V,
@@ -413,25 +435,12 @@ pub struct GruVars<V> {
     pub(crate) w_n: V,
     pub(crate) u_n: V,
     pub(crate) b_n: V,
-    pub(crate) packed: Option<GruPacked<V>>,
 }
 
 impl<V> GruVars<V> {
-    /// Wraps the nine handles (`[w_r, u_r, b_r, w_z, u_z, b_z, w_n, u_n,
-    /// b_n]`) and offers them to [`Exec::pack_gru`].
-    pub fn new<E: Exec<V = V> + ?Sized>(exec: &mut E, handles: [V; 9]) -> Self {
+    /// Wraps the nine handles `[w_r, u_r, b_r, w_z, u_z, b_z, w_n, u_n, b_n]`.
+    pub fn new(handles: [V; 9]) -> Self {
         let [w_r, u_r, b_r, w_z, u_z, b_z, w_n, u_n, b_n] = handles;
-        let packed = exec.pack_gru(GruGates {
-            w_r: &w_r,
-            u_r: &u_r,
-            b_r: &b_r,
-            w_z: &w_z,
-            u_z: &u_z,
-            b_z: &b_z,
-            w_n: &w_n,
-            u_n: &u_n,
-            b_n: &b_n,
-        });
         GruVars {
             w_r,
             u_r,
@@ -442,8 +451,15 @@ impl<V> GruVars<V> {
             w_n,
             u_n,
             b_n,
-            packed,
         }
+    }
+
+    /// The nine handles in [`GruVars::new`]'s order.
+    pub(crate) fn handles(&self) -> [&V; 9] {
+        [
+            &self.w_r, &self.u_r, &self.b_r, &self.w_z, &self.u_z, &self.b_z, &self.w_n, &self.u_n,
+            &self.b_n,
+        ]
     }
 }
 
@@ -615,70 +631,13 @@ pub trait Exec {
         self.softmax_rows(&y)
     }
 
-    /// Packs the nine per-gate GRU parameters into column-blocked `[r|z|n]`
-    /// matrices for [`Exec::gru_step_packed`]. Returning `None` (the
-    /// default, and the tape's behaviour) keeps the caller on the unfused
-    /// per-gate step. Engines only return `Some` when the packed step is
-    /// bit-identical to the unfused one for these shapes.
-    fn pack_gru(&mut self, gates: GruGates<'_, Self::V>) -> Option<GruPacked<Self::V>> {
-        let _ = gates;
-        None
-    }
-
-    /// One GRU step on packed gates: `r = σ(x·W_r+b_r + h·U_r)`,
-    /// `z = σ(x·W_z+b_z + h·U_z)`, `n = tanh(x·W_n+b_n + r∘(h·U_n))`,
-    /// `h' = z∘h + (1−z)∘n`, optionally blended per row with `mask`
-    /// (`h' ∘ m + h ∘ (1−m)`).
-    ///
-    /// The default body computes the packed GEMMs and then replays the
-    /// unfused op sequence on column slices — bit-identical to per-gate
-    /// matmuls because the blocked GEMM accumulates each output element
-    /// independently, k-ascending. [`ValueExec`] overrides with a
-    /// single-pass fused kernel.
-    fn gru_step_packed(
-        &mut self,
-        p: &GruPacked<Self::V>,
-        x: &Self::V,
-        h: &Self::V,
-        mask: Option<&Self::V>,
-    ) -> Self::V {
-        let hid = p.hidden;
-        let xwb = self.linear(x, &p.w, &p.b);
-        let hu = self.matmul(h, &p.u);
-        let xw_r = self.slice_cols(&xwb, 0, hid);
-        let xw_z = self.slice_cols(&xwb, hid, 2 * hid);
-        let xw_n = self.slice_cols(&xwb, 2 * hid, 3 * hid);
-        let hu_r = self.slice_cols(&hu, 0, hid);
-        let hu_z = self.slice_cols(&hu, hid, 2 * hid);
-        let hu_n = self.slice_cols(&hu, 2 * hid, 3 * hid);
-        let pre_r = self.add(&xw_r, &hu_r);
-        let r = self.sigmoid(&pre_r);
-        let pre_z = self.add(&xw_z, &hu_z);
-        let z = self.sigmoid(&pre_z);
-        let rhu = self.mul(&r, &hu_n);
-        let pre_n = self.add(&xw_n, &rhu);
-        let n = self.tanh(&pre_n);
-        let zh = self.mul(&z, h);
-        let omz = self.one_minus(&z);
-        let zn = self.mul(&omz, &n);
-        let cand = self.add(&zh, &zn);
-        match mask {
-            None => cand,
-            Some(m) => {
-                let kept = self.mul_col(&cand, m);
-                let inv = self.one_minus(m);
-                let carried = self.mul_col(h, &inv);
-                self.add(&kept, &carried)
-            }
-        }
-    }
-
     /// One GRU step (`x`: `batch × in`, `h`: `batch × hidden`), optionally
     /// mask-blended (`mask`: `batch × 1`, 1 = real step, 0 = padding that
-    /// carries `h` forward). Runs [`Exec::gru_step_packed`] when the gates
-    /// were packed; otherwise the per-gate op sequence — six GEMMs and the
-    /// element-wise ops, one tape node each — which is the reference every
-    /// fused GRU kernel replays.
+    /// carries `h` forward): `r = σ(x·W_r+b_r + h·U_r)`,
+    /// `z = σ(x·W_z+b_z + h·U_z)`, `n = tanh(x·W_n+b_n + r∘(h·U_n))`,
+    /// `h' = z∘h + (1−z)∘n`, then `h'∘m + h∘(1−m)`. The per-gate op
+    /// sequence — six GEMMs and the element-wise ops, one tape node each —
+    /// is the reference the fused unroll ([`Exec::gru_unroll`]) replays.
     fn gru_step(
         &mut self,
         vars: &GruVars<Self::V>,
@@ -686,9 +645,6 @@ pub trait Exec {
         h: &Self::V,
         mask: Option<&Self::V>,
     ) -> Self::V {
-        if let Some(p) = &vars.packed {
-            return self.gru_step_packed(p, x, h, mask);
-        }
         let xwb = self.linear(x, &vars.w_r, &vars.b_r);
         let hu = self.matmul(h, &vars.u_r);
         let r = self.add(&xwb, &hu);
@@ -721,11 +677,12 @@ pub trait Exec {
 
     /// Unrolls a GRU over `xs` (each `batch × in`) with constant per-step
     /// masks (`batch × 1`) from `h0`, returning the state after each step.
-    /// The default is the per-step loop ([`gru_unroll_steps`]), which
-    /// [`ValueExec`] keeps. [`Tape`] records the whole unroll as one node
-    /// whose forward and backward each run as one parallel region over the
-    /// batch rows, with bit-identical values and gradients (see
-    /// [`Tape::gru_unroll`]).
+    /// The default is the per-step loop ([`gru_unroll_steps`]). Both
+    /// engines override it with the one fused unroll kernel, bit-identical
+    /// to that loop: [`Tape`] records it as one node whose forward and
+    /// backward each run as one parallel region over the batch rows (see
+    /// [`Tape::gru_unroll`]); [`ValueExec`] runs it as one row block on the
+    /// calling thread, keeping no activations.
     fn gru_unroll(
         &mut self,
         vars: &GruVars<Self::V>,
@@ -842,9 +799,11 @@ impl Exec for Tape {
 ///
 /// The only state is the fusion flag, snapshotted at construction (on
 /// unless a test scopes [`with_fusion`]): when set, the fusable composites
-/// ([`Exec::linear_act`], [`Exec::softmax_rows_scaled`],
-/// [`Exec::pack_gru`]/[`Exec::gru_step_packed`]) run single-pass fused
-/// kernels that are bit-identical to their unfused expansions.
+/// ([`Exec::linear_act`], [`Exec::mul_add`], [`Exec::softmax_rows_scaled`],
+/// [`Exec::gather_concat`]) and [`Exec::gru_unroll`] run single-pass fused
+/// kernels that are bit-identical to their unfused expansions. The GRU
+/// unroll is the tape node's own forward kernel, run as one row block on
+/// the calling thread and keeping no activations.
 #[derive(Debug, Clone, Copy)]
 pub struct ValueExec {
     fused: bool,
@@ -1023,31 +982,25 @@ impl Exec for ValueExec {
         }
     }
 
-    fn pack_gru(&mut self, g: GruGates<'_, Matrix>) -> Option<GruPacked<Matrix>> {
-        let hidden = g.u_r.cols();
-        // hidden == 1 would route the unfused per-gate GEMMs through the
-        // n == 1 lane kernel while the packed GEMM (n = 3) stays blocked —
-        // different summation orders. Skip packing so fused stays
-        // bit-identical to the tape oracle at every shape.
-        if !self.fused || hidden <= 1 {
-            return None;
-        }
-        Some(GruPacked {
-            w: kernels::concat_cols(&[g.w_r, g.w_z, g.w_n]),
-            u: kernels::concat_cols(&[g.u_r, g.u_z, g.u_n]),
-            b: kernels::concat_cols(&[g.b_r, g.b_z, g.b_n]),
-            hidden,
-        })
-    }
-
-    fn gru_step_packed(
+    fn gru_unroll(
         &mut self,
-        p: &GruPacked<Matrix>,
-        x: &Matrix,
-        h: &Matrix,
-        mask: Option<&Matrix>,
-    ) -> Matrix {
-        kernels::gru_step_fused(&p.w, &p.u, &p.b, p.hidden, x, h, mask)
+        vars: &GruVars<Matrix>,
+        h0: &Matrix,
+        xs: &[Matrix],
+        masks: &[Matrix],
+    ) -> Vec<Matrix> {
+        // The per-gate steps stay the reference with fusion off, and where
+        // the fused kernel is not bit-identical (`hidden ≤ 1`) or idle.
+        if !self.fused || vars.u_r.cols() <= 1 || xs.is_empty() {
+            return gru_unroll_steps(self, vars, h0, xs, masks);
+        }
+        let xs: Vec<&Matrix> = xs.iter().collect();
+        let masks: Vec<&Matrix> = masks.iter().collect();
+        // One row block on the calling thread (DESIGN §13.2): Algorithm 1's
+        // propensity-phase producer runs this beside the fitting thread and
+        // must not fan out on top of it.
+        let one_block = |rows, _| (1, vec![(0, rows)]);
+        kernels::gru_unroll(vars.handles(), h0, &xs, &masks, one_block, false).0
     }
 }
 
@@ -1179,126 +1132,6 @@ mod tests {
         let fused = with_fusion(true, ValueExec::new).softmax_rows_scaled(&zeros, 3.0);
         let unfused = with_fusion(false, ValueExec::new).softmax_rows_scaled(&zeros, 3.0);
         assert_eq!(fused.data(), unfused.data());
-    }
-
-    #[test]
-    fn packed_gru_step_matches_unfused_reference_bitwise() {
-        let mut rng = Rng::seed_from_u64(11);
-        // Ragged hidden sizes (non-multiples of the lane widths) and an
-        // empty batch.
-        for (batch, in_dim, hidden) in [(4, 6, 5), (3, 9, 17), (0, 4, 3)] {
-            let gates: Vec<Matrix> = (0..3)
-                .flat_map(|_| {
-                    [
-                        Matrix::randn(in_dim, hidden, 0.5, &mut rng),
-                        Matrix::randn(hidden, hidden, 0.5, &mut rng),
-                        Matrix::randn(1, hidden, 0.5, &mut rng),
-                    ]
-                })
-                .collect();
-            let x = Matrix::randn(batch, in_dim, 1.0, &mut rng);
-            let h = Matrix::randn(batch, hidden, 1.0, &mut rng);
-            let mask = Matrix::from_fn(batch, 1, |r, _| if r % 2 == 0 { 1.0 } else { 0.0 });
-            let g = GruGates {
-                w_r: &gates[0],
-                u_r: &gates[1],
-                b_r: &gates[2],
-                w_z: &gates[3],
-                u_z: &gates[4],
-                b_z: &gates[5],
-                w_n: &gates[6],
-                u_n: &gates[7],
-                b_n: &gates[8],
-            };
-            let mut fused_vx = with_fusion(true, ValueExec::new);
-            let packed = fused_vx.pack_gru(g).expect("fused engine packs");
-            for m in [None, Some(&mask)] {
-                let fused = fused_vx.gru_step_packed(&packed, &x, &h, m);
-                // Reference: the default (sliced, unfused-op) body, forced by
-                // calling it through a non-overriding wrapper.
-                struct NoFuse(ValueExec);
-                impl Exec for NoFuse {
-                    type V = Matrix;
-                    fn input(&mut self, v: Matrix) -> Matrix {
-                        self.0.input(v)
-                    }
-                    fn param(&mut self, p: &Params, id: ParamId) -> Matrix {
-                        self.0.param(p, id)
-                    }
-                    fn gather(&mut self, p: &Params, id: ParamId, r: &[usize]) -> Matrix {
-                        self.0.gather(p, id, r)
-                    }
-                    fn value<'a>(&'a self, x: &'a Matrix) -> &'a Matrix {
-                        x
-                    }
-                    fn matmul(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-                        self.0.matmul(a, b)
-                    }
-                    fn linear(&mut self, x: &Matrix, w: &Matrix, b: &Matrix) -> Matrix {
-                        self.0.linear(x, w, b)
-                    }
-                    fn batched_matmul(
-                        &mut self,
-                        a: &Matrix,
-                        b: &Matrix,
-                        batch: usize,
-                        t: bool,
-                    ) -> Matrix {
-                        self.0.batched_matmul(a, b, batch, t)
-                    }
-                    fn add(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-                        self.0.add(a, b)
-                    }
-                    fn sub(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-                        self.0.sub(a, b)
-                    }
-                    fn mul(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-                        self.0.mul(a, b)
-                    }
-                    fn add_row(&mut self, a: &Matrix, r: &Matrix) -> Matrix {
-                        self.0.add_row(a, r)
-                    }
-                    fn mul_col(&mut self, a: &Matrix, c: &Matrix) -> Matrix {
-                        self.0.mul_col(a, c)
-                    }
-                    fn affine(&mut self, x: &Matrix, m: f32, a: f32) -> Matrix {
-                        self.0.affine(x, m, a)
-                    }
-                    fn sigmoid(&mut self, x: &Matrix) -> Matrix {
-                        self.0.sigmoid(x)
-                    }
-                    fn tanh(&mut self, x: &Matrix) -> Matrix {
-                        self.0.tanh(x)
-                    }
-                    fn relu(&mut self, x: &Matrix) -> Matrix {
-                        self.0.relu(x)
-                    }
-                    fn concat_cols(&mut self, p: &[&Matrix]) -> Matrix {
-                        self.0.concat_cols(p)
-                    }
-                    fn slice_cols(&mut self, x: &Matrix, s: usize, e: usize) -> Matrix {
-                        self.0.slice_cols(x, s, e)
-                    }
-                    fn reshape(&mut self, x: &Matrix, r: usize, c: usize) -> Matrix {
-                        self.0.reshape(x, r, c)
-                    }
-                    fn row_sum(&mut self, x: &Matrix) -> Matrix {
-                        self.0.row_sum(x)
-                    }
-                    fn softmax_rows(&mut self, x: &Matrix) -> Matrix {
-                        self.0.softmax_rows(x)
-                    }
-                }
-                let reference =
-                    NoFuse(with_fusion(false, ValueExec::new)).gru_step_packed(&packed, &x, &h, m);
-                assert_eq!(
-                    fused.data(),
-                    reference.data(),
-                    "batch={batch} hidden={hidden} mask={}",
-                    m.is_some()
-                );
-            }
-        }
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub use backend::{
     DispatchStats, KernelMode, ScratchStats, ThreadSettings,
 };
 pub use exec::{
-    exec_stats, gru_unroll_steps, reset_exec_stats, with_fusion, ActKind, Exec, ExecStats,
-    GruGates, GruPacked, GruVars, ValueExec,
+    exec_stats, gru_unroll_steps, reset_exec_stats, with_fusion, ActKind, Exec, ExecStats, GruVars,
+    ValueExec,
 };
 pub use matrix::Matrix;
 pub use mmap::MmapRegion;

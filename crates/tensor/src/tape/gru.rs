@@ -1,6 +1,7 @@
 //! The tape's GRU unroll node ([`Tape::gru_unroll`]): a whole masked
-//! recurrence as one autodiff node, forward and backward each one parallel
-//! region over batch rows, bit-identical to the per-step op sequence.
+//! recurrence as one autodiff node, forward (the fused unroll kernel the
+//! tape-free engine also runs) and backward each one parallel region over
+//! batch rows, bit-identical to the per-step op sequence.
 
 use super::{acc, Op, Tape, Var};
 use crate::backend;
@@ -22,25 +23,6 @@ pub(super) struct GruUnroll {
     hu_n: Vec<Matrix>,
 }
 
-/// Cuts every buffer of `bufs` (given with its row width) at the row ranges
-/// of `chunks`: entry `k` of the result holds chunk `k`'s rows of each
-/// buffer, in order.
-fn split_bufs<'a>(
-    bufs: impl IntoIterator<Item = (&'a mut [f32], usize)>,
-    chunks: &[(usize, usize)],
-) -> Vec<Vec<&'a mut [f32]>> {
-    let mut parts: Vec<Vec<&mut [f32]>> = chunks.iter().map(|_| Vec::new()).collect();
-    for (buf, width) in bufs {
-        for (part, rows) in parts
-            .iter_mut()
-            .zip(backend::split_rows(buf, width, chunks))
-        {
-            part.push(rows);
-        }
-    }
-    parts
-}
-
 /// Row blocks per worker in the unroll's regions: workers claim blocks as
 /// they free up, so a worker whose vCPU is busy elsewhere holds up at most
 /// one block's worth of the recurrence.
@@ -54,20 +36,17 @@ impl Tape {
     /// A masked GRU unroll ([`crate::Exec::gru_unroll`]) as one node, plus one
     /// state handle node per step, returned in step order.
     ///
-    /// Batch rows never interact in a GRU, so one parallel region runs the
-    /// whole recurrence, each worker on its own rows: per step, the input
-    /// projection `x·[W_r|W_z|W_n] + b`, the recurrent product
-    /// `h·[U_r|U_z|U_n]` and one fused element-wise pass. The backward pass
+    /// The forward is the fused unroll kernel both engines share
+    /// (`exec::kernels::gru_unroll`): one parallel region over batch rows
+    /// runs the whole recurrence, each worker on its own rows, keeping every
+    /// step's gate activations and `h·U_n`. The backward pass
     /// (`Tape::gru_unroll_backward`) splits the same way, then sums the
     /// weight gradients over steps. Values and gradients are bit-identical
     /// to the per-step op sequence ([`gru_unroll_steps`] on a tape): every
     /// output element keeps its GEMM's k-ascending sum and every gradient
-    /// its summation order. Falls back to that sequence when `hidden ≤ 1`
-    /// (as [`crate::Exec::pack_gru`] does), with no steps, when one input
-    /// node feeds two steps, or when a mask is not a constant leaf (masks
-    /// receive no gradient here).
-    // `-1.0 * v + 1.0` replays the per-step tape's `affine(v, -1.0, 1.0)`.
-    #[allow(clippy::neg_multiply)]
+    /// its summation order. Falls back to that sequence when `hidden ≤ 1`,
+    /// with no steps, when one input node feeds two steps, or when a mask
+    /// is not a constant leaf (masks receive no gradient here).
     pub fn gru_unroll(
         &mut self,
         vars: &GruVars<Var>,
@@ -75,11 +54,6 @@ impl Tape {
         xs: &[Var],
         masks: &[Var],
     ) -> Vec<Var> {
-        assert_eq!(
-            xs.len(),
-            masks.len(),
-            "gru_unroll: xs/masks length mismatch"
-        );
         let hidden = self.value(vars.u_r).cols();
         let mut distinct: Vec<usize> = xs.iter().map(|x| x.0).collect();
         distinct.sort_unstable();
@@ -91,66 +65,13 @@ impl Tape {
         {
             return gru_unroll_steps(self, vars, &h0, xs, masks);
         }
-        let (steps, batch) = (xs.len(), self.value(h0).rows());
-        let in_dim = self.value(vars.w_r).rows();
-        let h3 = 3 * hidden;
         let v = |var: Var| &self.nodes[var.0].value;
-        assert_eq!(v(h0).cols(), hidden, "gru_unroll: h0 width");
-        for (t, (&x, &m)) in xs.iter().zip(masks).enumerate() {
-            assert_eq!(v(x).shape(), (batch, in_dim), "gru_unroll: step {t} input");
-            assert_eq!(v(m).shape(), (batch, 1), "gru_unroll: step {t} mask");
-        }
-        let w = kernels::concat_cols(&[v(vars.w_r), v(vars.w_z), v(vars.w_n)]);
-        let u = kernels::concat_cols(&[v(vars.u_r), v(vars.u_z), v(vars.u_n)]);
-        let b = kernels::concat_cols(&[v(vars.b_r), v(vars.b_z), v(vars.b_n)]);
-        let per_step = |width: usize| -> Vec<Matrix> {
-            (0..steps).map(|_| Matrix::uninit(batch, width)).collect()
-        };
-        let (mut gates, mut hu_n, mut states) = (per_step(h3), per_step(hidden), per_step(hidden));
-        let mut hu = Matrix::uninit(batch, h3);
-        let x_d: Vec<&[f32]> = xs.iter().map(|&x| v(x).data()).collect();
-        let m_d: Vec<&[f32]> = masks.iter().map(|&m| v(m).data()).collect();
-        let (w_d, u_d, b_d, h0_d) = (w.data(), u.data(), b.data(), v(h0).data());
-        let mode = backend::kernel_mode();
-        let (workers, chunks) =
-            backend::row_chunks(batch, steps * batch * (in_dim + hidden) * h3, ROW_BLOCKS);
-        // Each worker's rows of every step's gates, `h·U_n` and state, then
-        // of the `h·U` scratch.
-        let bufs = (gates.iter_mut().map(|m| (m.data_mut(), h3)))
-            .chain(hu_n.iter_mut().map(|m| (m.data_mut(), hidden)))
-            .chain(states.iter_mut().map(|m| (m.data_mut(), hidden)))
-            .chain([(hu.data_mut(), h3)]);
-        let parts: Vec<_> = chunks.iter().zip(split_bufs(bufs, &chunks)).collect();
-        backend::par_parts(parts, workers, &|(&(r0, n), mut rows)| {
-            let (g, rest) = rows.split_at_mut(steps);
-            let (hn, rest) = rest.split_at_mut(steps);
-            let (st, hu) = rest.split_at_mut(steps);
-            let hu = &mut *hu[0];
-            for t in 0..steps {
-                backend::matmul_bias_chunk(mode, x_d[t], w_d, b_d, in_dim, h3, r0, g[t]);
-                let (done, rest) = st.split_at_mut(t);
-                let hp: &[f32] = match done.last() {
-                    Some(prev) => prev,
-                    None => &h0_d[r0 * hidden..][..n * hidden],
-                };
-                backend::matmul_chunk(mode, hp, u_d, hidden, h3, 0, hu);
-                for i in 0..n {
-                    let (mv, row) = (m_d[t][r0 + i], i * hidden);
-                    let inv = -1.0 * mv + 1.0;
-                    let (g, hur) = (&mut g[t][i * h3..][..h3], &hu[i * h3..][..h3]);
-                    hn[t][row..][..hidden].copy_from_slice(&hur[2 * hidden..]);
-                    for j in 0..hidden {
-                        let (r, z, nn, cand) = kernels::gru_elem(
-                            [g[j], g[hidden + j], g[2 * hidden + j]],
-                            [hur[j], hur[hidden + j], hur[2 * hidden + j]],
-                            hp[row + j],
-                        );
-                        (g[j], g[hidden + j], g[2 * hidden + j]) = (r, z, nn);
-                        rest[0][row + j] = cand * mv + hp[row + j] * inv;
-                    }
-                }
-            }
-        });
+        let x_v: Vec<&Matrix> = xs.iter().map(|&x| v(x)).collect();
+        let m_v: Vec<&Matrix> = masks.iter().map(|&m| v(m)).collect();
+        let plan = |rows, flops| backend::row_chunks(rows, flops, ROW_BLOCKS);
+        let (states, kept) =
+            kernels::gru_unroll(vars.handles().map(|&g| v(g)), v(h0), &x_v, &m_v, plan, true);
+        let (gates, hu_n) = kept.expect("a kept unroll returns its activations");
         let node = GruUnroll {
             vars: vars.clone(),
             xs: xs.to_vec(),
@@ -275,7 +196,7 @@ impl Tape {
         let parts: Vec<_> = chunks
             .iter()
             .zip(dx_parts)
-            .zip(split_bufs(bufs, &chunks))
+            .zip(backend::split_bufs(bufs, &chunks))
             .collect();
         backend::par_parts(parts, workers, &|((&(r0, n), dx), mut rows)| {
             let [dh0, mut rec, mut next, c_n, c_z, c_r]: [&mut [f32]; 6] = rows

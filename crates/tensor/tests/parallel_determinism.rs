@@ -9,8 +9,8 @@
 
 use uae_tensor::gradcheck::check_params;
 use uae_tensor::{
-    gru_unroll_steps, with_kernel_mode, with_num_threads, Exec, GruVars, KernelMode, Matrix,
-    ParamId, Params, Rng, Tape, Var,
+    dispatch_stats, gru_unroll_steps, with_fusion, with_kernel_mode, with_num_threads, Exec,
+    GruVars, KernelMode, Matrix, ParamId, Params, Rng, Tape, ValueExec, Var,
 };
 
 /// Ragged shapes exercising 1×1, 1×n, n×1, and row counts that do not divide
@@ -262,7 +262,7 @@ fn gru_run(case: &mut GruCase, unroll: Unroll) -> (Vec<Matrix>, Vec<Matrix>) {
     let mut tape = Tape::new();
     let params = &case.params;
     let handles = case.gates.map(|id| tape.param(params, id));
-    let vars = GruVars::new(&mut tape, handles);
+    let vars = GruVars::new(handles);
     let h0 = tape.param(params, case.h0);
     let mut loss: Option<Var> = None;
     let mut head = |tape: &mut Tape, t: usize, h: Var| {
@@ -316,6 +316,16 @@ fn gru_run(case: &mut GruCase, unroll: Unroll) -> (Vec<Matrix>, Vec<Matrix>) {
     (values, grads)
 }
 
+/// `case`'s states from the tape-free `ValueExec::gru_unroll`: the fused
+/// unroll kernel, or with fusion off the per-gate steps.
+fn value_run(case: &GruCase, fused: bool) -> Vec<Matrix> {
+    let params = &case.params;
+    let mut vx = with_fusion(fused, ValueExec::new);
+    let vars = GruVars::new(case.gates.map(|id| vx.param(params, id)));
+    let xs: Vec<Matrix> = case.xs.iter().map(|&id| vx.param(params, id)).collect();
+    vx.gru_unroll(&vars, params.value(case.h0), &xs, &case.masks)
+}
+
 #[test]
 fn gru_unroll_node_matches_the_per_step_tape_bitwise() {
     let every = |_: usize, _: usize| true;
@@ -332,6 +342,9 @@ fn gru_unroll_node_matches_the_per_step_tape_bitwise() {
         ("in_dim 1", gru_case(5, 6, 1, 8, ragged, all)),
         ("hidden 1 (fallback)", gru_case(4, 3, 5, 1, ragged, all)),
         ("hidden 33 (dot16)", gru_case(3, 4, 37, 33, every, all)),
+        ("hidden 5", gru_case(4, 4, 6, 5, ragged, all)),
+        ("hidden 17", gru_case(3, 3, 9, 17, ragged, all)),
+        ("batch 0", gru_case(3, 0, 4, 3, ragged, all)),
         (
             "last steps without a head",
             gru_case(5, 3, 4, 6, ragged, |t| t < 3),
@@ -356,6 +369,13 @@ fn gru_unroll_node_matches_the_per_step_tape_bitwise() {
                 with_num_threads(nt, || gru_run(&mut case, Unroll::Node));
             let (ref_states, ref_grads) = with_num_threads(nt, || gru_run(&mut case, reference));
             assert_eq!(node_states, ref_states, "{name}: states at {nt} threads");
+            for fused in [true, false] {
+                let value_states = with_num_threads(nt, || value_run(&case, fused));
+                assert_eq!(
+                    value_states, ref_states,
+                    "{name}: ValueExec (fused {fused}) states at {nt} threads"
+                );
+            }
             for (k, (a, b)) in node_grads.iter().zip(&ref_grads).enumerate() {
                 assert_eq!(
                     a.data(),
@@ -370,13 +390,41 @@ fn gru_unroll_node_matches_the_per_step_tape_bitwise() {
 }
 
 #[test]
+fn value_exec_gru_unroll_opens_no_parallel_region() {
+    // The `train` shapes of GRU₁: batch 64, input 142, hidden 32, 18 steps.
+    let case = gru_case(18, 64, 142, 32, |_, _| true, |_| true);
+    with_num_threads(4, || {
+        let before = dispatch_stats().par_regions;
+        value_run(&case, true);
+        assert_eq!(
+            dispatch_stats().par_regions - before,
+            0,
+            "the tape-free unroll runs one row block on the calling thread"
+        );
+        let mut tape = Tape::new();
+        let params = &case.params;
+        let vars = GruVars::new(case.gates.map(|id| tape.param(params, id)));
+        let h0 = tape.param(params, case.h0);
+        let xs: Vec<Var> = case.xs.iter().map(|&id| tape.param(params, id)).collect();
+        let masks: Vec<Var> = case.masks.iter().map(|m| tape.input(m.clone())).collect();
+        let before = dispatch_stats().par_regions;
+        tape.gru_unroll(&vars, h0, &xs, &masks);
+        assert_eq!(
+            dispatch_stats().par_regions - before,
+            1,
+            "the tape node's forward is one parallel region"
+        );
+    });
+}
+
+#[test]
 fn gru_unroll_node_passes_gradcheck() {
     with_num_threads(2, || {
         let mut case = gru_case(3, 2, 3, 4, |t, i| t != 1 || i != 0, |_| true);
         let (gates, xs, h0, masks) = (case.gates, case.xs.clone(), case.h0, case.masks.clone());
         let check = check_params(&mut case.params, 5e-3, |tape, params| {
             let handles = gates.map(|id| tape.param(params, id));
-            let vars = GruVars::new(tape, handles);
+            let vars = GruVars::new(handles);
             let h0 = tape.param(params, h0);
             let xs: Vec<Var> = xs.iter().map(|&id| tape.param(params, id)).collect();
             let masks: Vec<Var> = masks.iter().map(|m| tape.input(m.clone())).collect();
