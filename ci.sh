@@ -4,6 +4,15 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Non-gating size ledger: the two counts every change records in
+# CHANGES.md. `rust_lines` is tracked Rust outside benchmark/ and vendor/;
+# `uae_knobs` is the distinct "UAE_*" literals in crates/ and src/.
+echo "==> size ledger (non-gating)"
+rust_lines=$(git ls-files '*.rs' | grep -v -e '^benchmark/' -e '^vendor/' | xargs cat | wc -l) || rust_lines='?'
+uae_knobs=$(grep -rhoE '"UAE_[A-Z0-9_]+"' --include='*.rs' crates src | sort -u | wc -l) || uae_knobs='?'
+echo "rust_lines $rust_lines"
+echo "uae_knobs $uae_knobs"
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -100,11 +100,6 @@ impl AttentionNet {
         self.gru.hidden()
     }
 
-    /// The embedding bank (for collision telemetry when hashed).
-    pub fn embeddings(&self) -> &EmbeddingBank {
-        &self.emb
-    }
-
     /// Builds the per-step input `x_t` (embeddings ⧺ dense). A dense bank
     /// rides the fused gather-concat; a hashed bank expands to multi-hash
     /// gathers — one forward body either way.
@@ -254,11 +249,6 @@ impl LocalPropensityNet {
             head,
             num_dense: schema.num_dense(),
         }
-    }
-
-    /// The embedding bank (for collision telemetry when hashed).
-    pub fn embeddings(&self) -> &EmbeddingBank {
-        &self.emb
     }
 
     /// Per-step logits using only `x_t`.

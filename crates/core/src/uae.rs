@@ -3,7 +3,7 @@
 
 use std::sync::mpsc;
 
-use uae_data::{seq_batches, Dataset, SeqBatch};
+use uae_data::{infer_seq_batches, seq_batches, Dataset, SeqBatch};
 use uae_nn::{Adam, Optimizer};
 use uae_runtime::checkpoint::{ByteReader, ByteWriter, CheckpointError, TrainSnapshot};
 use uae_runtime::sentinel::{self, Anomaly};
@@ -557,7 +557,7 @@ impl Uae {
     /// forward implementations run under [`ValueExec`], so the logits are
     /// bit-identical to the training forward by construction, with no
     /// autodiff tape built. This is the serving path used by `uae-serve`'s
-    /// batched `Scorer`.
+    /// batched `Scorer`; [`Uae::predict`] runs the same forward off the arena.
     /// One batch = one arena generation: every intermediate matrix is
     /// bump-allocated from `uae_tensor::arena` and the whole generation is
     /// rewound on the next batch's entry, so steady-state serving performs
@@ -577,8 +577,9 @@ impl Uae {
 
     /// Freezes Θ_g and Θ_h into shared buffers (see
     /// [`uae_tensor::Params::freeze`]) so the tape-free forward's per-batch
-    /// param clones become O(1) handle copies. Serving scorers call this
-    /// once at construction; training afterwards still works (mutation
+    /// param clones become O(1) handle copies. Parameters bound to a `.uaem`
+    /// arena are already shared views; this is for a model built by
+    /// [`Uae::new`]. Training afterwards still works (mutation
     /// copies-on-write).
     pub fn freeze_params(&mut self) {
         self.params_g.freeze();
@@ -890,18 +891,34 @@ impl Uae {
         if matches!(self.h, PropensityHead::None) {
             // Single-network estimators carry no propensity model; the
             // uninformative 0.5 prior fills every slot.
-            return flat_slots(dataset, sessions);
+            return vec![0.5; flat_offsets(dataset, sessions)[sessions.len()]];
         }
-        let mut rng = Rng::seed_from_u64(1);
-        let max_len = dataset.sessions.iter().map(|s| s.len()).max().unwrap_or(1);
-        let batches = seq_batches(dataset, sessions, self.cfg.session_batch, max_len, &mut rng);
-        let mut out = flat_slots(dataset, sessions);
-        let mut tape = Tape::new();
-        for b in &batches {
-            tape.clear();
-            let gf = self.g.forward(&mut tape, &self.params_g, b);
-            let h_logits = self.h.logits(&mut tape, &self.params_h, b, &gf.z1);
-            scatter_predictions(&tape, &h_logits, b, dataset, sessions, &mut out);
+        self.predict_flat(dataset, sessions, |vx, b| {
+            let gf = self.g.forward(vx, &self.params_g, b);
+            self.h.logits(vx, &self.params_h, b, &gf.z1)
+        })
+    }
+
+    /// σ of the per-step logits `forward` computes, per event in flat order
+    /// (session by session, step by step), over untruncated
+    /// [`infer_seq_batches`] of `cfg.session_batch` sessions. Tape-free and
+    /// outside any arena generation: training-side buffers stay in the
+    /// scratch pool.
+    fn predict_flat(
+        &self,
+        dataset: &Dataset,
+        sessions: &[usize],
+        forward: impl Fn(&mut ValueExec, &SeqBatch) -> Vec<Matrix>,
+    ) -> Vec<f32> {
+        let offsets = flat_offsets(dataset, sessions);
+        let mut out = vec![0.5; offsets[sessions.len()]];
+        for b in infer_seq_batches(dataset, sessions, self.cfg.session_batch, None) {
+            if b.steps == 0 {
+                // Only zero-event sessions: no slot to fill.
+                continue;
+            }
+            let logits = forward(&mut ValueExec::new(), &b);
+            scatter_sigmoid(&logits, &b, &offsets, &mut out);
         }
         out
     }
@@ -987,30 +1004,25 @@ impl FitBookkeeping {
     }
 }
 
-/// Allocates the flat output vector (one slot per event).
-pub(crate) fn flat_slots(dataset: &Dataset, sessions: &[usize]) -> Vec<f32> {
-    let n: usize = sessions.iter().map(|&s| dataset.sessions[s].len()).sum();
-    vec![0.5; n]
-}
-
-/// Writes σ(logits) into the flat vector using the batch's origin map.
-pub(crate) fn scatter_predictions(
-    tape: &Tape,
-    logits: &[Var],
-    batch: &SeqBatch,
-    dataset: &Dataset,
-    sessions: &[usize],
-    out: &mut [f32],
-) {
-    // Prefix offsets of each session position in flat order.
+/// Where each of `sessions`' events starts in flat order (session by
+/// session, step by step): `sessions.len() + 1` prefix offsets, the last
+/// being the total event count.
+pub fn flat_offsets(dataset: &Dataset, sessions: &[usize]) -> Vec<usize> {
     let mut offsets = Vec::with_capacity(sessions.len() + 1);
     let mut acc = 0usize;
+    offsets.push(acc);
     for &s in sessions {
-        offsets.push(acc);
         acc += dataset.sessions[s].len();
+        offsets.push(acc);
     }
-    for (t, &l) in logits.iter().enumerate() {
-        let vals = tape.value(l);
+    offsets
+}
+
+/// Writes σ(logits) of every valid `(t, i)` slot of `batch` into flat order
+/// through the batch's origin map; `offsets` comes from [`flat_offsets`]
+/// over the sessions the batch was built from.
+pub fn scatter_sigmoid(logits: &[Matrix], batch: &SeqBatch, offsets: &[usize], out: &mut [f32]) {
+    for (t, vals) in logits.iter().enumerate() {
         for i in 0..batch.batch {
             if batch.mask[t][i] > 0.0 {
                 let (pos, step) = batch.origin[t][i];
@@ -1035,17 +1047,9 @@ impl AttentionEstimator for Uae {
     }
 
     fn predict(&self, dataset: &Dataset, sessions: &[usize]) -> Vec<f32> {
-        let mut rng = Rng::seed_from_u64(2);
-        let max_len = dataset.sessions.iter().map(|s| s.len()).max().unwrap_or(1);
-        let batches = seq_batches(dataset, sessions, self.cfg.session_batch, max_len, &mut rng);
-        let mut out = flat_slots(dataset, sessions);
-        let mut tape = Tape::new();
-        for b in &batches {
-            tape.clear();
-            let gf = self.g.forward(&mut tape, &self.params_g, b);
-            scatter_predictions(&tape, &gf.logits, b, dataset, sessions, &mut out);
-        }
-        out
+        self.predict_flat(dataset, sessions, |vx, b| {
+            self.g.forward(vx, &self.params_g, b).logits
+        })
     }
 }
 

@@ -141,9 +141,7 @@ impl Arm {
             active: vec![false; candidates.len()],
             indices: (0..candidates.len()).collect(),
         };
-        let mut tape = uae_tensor::Tape::new();
-        let logits = self.model.forward(&mut tape, &self.params, &batch);
-        let scores = tape.value(logits);
+        let scores = self.model.infer(&self.params, &batch);
         (0..candidates.len())
             .max_by(|&a, &b| {
                 scores

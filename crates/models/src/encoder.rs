@@ -40,11 +40,6 @@ impl Encoder {
         }
     }
 
-    /// The embedding bank (for collision telemetry when hashed).
-    pub fn embeddings(&self) -> &EmbeddingBank {
-        &self.emb
-    }
-
     pub fn embed_dim(&self) -> usize {
         self.emb.dim()
     }

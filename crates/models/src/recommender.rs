@@ -4,7 +4,8 @@
 //! per model and generic over the [`Exec`] execution context. The object-safe
 //! [`Recommender`] trait (what `ModelKind::build` hands back) is derived from
 //! it by a blanket impl: [`Recommender::forward`] records on the training
-//! tape, [`Recommender::infer`] runs the same code tape-free for serving —
+//! tape, [`Recommender::infer`] runs the same code tape-free for every pass
+//! that is never differentiated (evaluation, serving, the A/B simulator) —
 //! bit-identical by construction.
 
 use uae_data::{FeatureSchema, FlatBatch};
@@ -94,7 +95,9 @@ pub trait Recommender {
     /// Records the forward pass on the training tape.
     fn forward(&self, tape: &mut Tape, params: &Params, batch: &FlatBatch) -> Var;
 
-    /// Tape-free forward pass for serving, bit-identical to [`Self::forward`].
+    /// Tape-free forward pass, bit-identical to [`Self::forward`]: the one
+    /// engine of passes that are never differentiated. It opens no arena
+    /// generation; a serving caller scopes its batches itself.
     fn infer(&self, params: &Params, batch: &FlatBatch) -> Matrix;
 }
 
@@ -108,13 +111,7 @@ impl<T: RecommenderForward> Recommender for T {
     }
 
     fn infer(&self, params: &Params, batch: &FlatBatch) -> Matrix {
-        // One batch = one arena generation: intermediates bump-allocate and
-        // are rewound wholesale on the next batch's entry (the returned
-        // logits pin their chunk until then).
-        uae_tensor::arena::scoped(|| {
-            let mut exec = ValueExec::new();
-            self.forward_exec(&mut exec, params, batch)
-        })
+        self.forward_exec(&mut ValueExec::new(), params, batch)
     }
 }
 

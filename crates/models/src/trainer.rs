@@ -96,7 +96,8 @@ pub struct TrainReport {
     pub faults: Vec<FaultEvent>,
 }
 
-/// Sigmoid scores of `model` over all events of `data`.
+/// Sigmoid scores of `model` over all events of `data`, through the
+/// tape-free [`Recommender::infer`] in sequential index-range batches.
 pub fn predict(
     model: &dyn Recommender,
     params: &Params,
@@ -105,16 +106,11 @@ pub fn predict(
 ) -> Vec<f32> {
     let mut scores = Vec::with_capacity(data.len());
     let mut start = 0;
-    // One tape reused across batches: `clear` keeps the node arena and
-    // returns matrix buffers to the scratch pool.
-    let mut tape = Tape::new();
     while start < data.len() {
         let end = (start + batch_size).min(data.len());
         let idx: Vec<usize> = (start..end).collect();
-        let batch = data.gather(&idx);
-        tape.clear();
-        let logits = model.forward(&mut tape, params, &batch);
-        scores.extend(tape.value(logits).data().iter().map(|&z| sigmoid(z)));
+        let logits = model.infer(params, &data.gather(&idx));
+        scores.extend(logits.data().iter().map(|&z| sigmoid(z)));
         start = end;
     }
     scores

@@ -365,14 +365,6 @@ impl EmbeddingBank {
         matches!(self, EmbeddingBank::Hashed(_))
     }
 
-    /// Per-field collision rates (empty for a dense bank), measured on call.
-    pub fn collision_rates(&self) -> Vec<f64> {
-        match self {
-            EmbeddingBank::Dense(_) => Vec::new(),
-            EmbeddingBank::Hashed(e) => e.collision_rates(),
-        }
-    }
-
     pub fn forward_field<E: Exec>(
         &self,
         exec: &mut E,

@@ -1,10 +1,10 @@
 //! # uae-serve — tape-free batched inference for trained UAE models
 //!
-//! Training (in `uae-core`) runs every forward pass through the autodiff
-//! tape so gradients can flow. Serving needs none of that machinery: this
-//! crate freezes a trained model into a compact read-only snapshot and
-//! scores request batches through inference-only kernels that never touch
-//! the tape, while staying **bit-identical** to the training forward.
+//! Only the fit loops record the autodiff tape; every forward-only pass
+//! runs the same forward bodies tape-free. This crate freezes a trained
+//! model into a compact read-only snapshot and scores request batches
+//! through that tape-free forward, one bump-arena generation per batch,
+//! **bit-identical** to the live model's `predict`.
 //!
 //! Artifacts — one `.uaem` container (magic `UAEM`, version 3, the only
 //! layout), three variants discriminated by a variant byte, one loader:
@@ -37,9 +37,10 @@
 //! - [`Scorer`] — buckets sessions by length, pads once per batch, runs the
 //!   tape-free UAE forward across the deterministic worker pool, and
 //!   returns per-event attention α̂, propensity p̂, and downstream
-//!   confidence weights `w = 1 − (α̂ + 1)^(−γ)` in request order.
+//!   confidence weights `w = 1 − (α̂ + 1)^(−γ)` in request order,
+//!   bit-identical to `Uae::predict`/`predict_propensity`.
 //! - [`RecScorer`] — batch-scores flat events through a downstream
-//!   recommender's tape-free forward, bit-identical to the training-side
+//!   recommender's tape-free forward, bit-identical to
 //!   `uae_models::predict` at any batch size.
 //!
 //! Telemetry: when `uae-obs` is enabled, scoring emits `serve.request` /

@@ -11,9 +11,9 @@
 //!
 //! Scoring reuses the one-implementation forward: [`RecScorer`] drives the
 //! model's tape-free [`Recommender::infer`] over sequential index-range
-//! batches — the same batching scheme as the training-side
-//! `uae_models::predict` — so batched scores are bit-identical to the tape
-//! path at any batch size (the kernels are row-independent).
+//! batches, one arena generation each — the same forward and batching
+//! scheme as `uae_models::predict` — so batched scores are bit-identical to
+//! `predict` at any batch size (the kernels are row-independent).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -248,11 +248,11 @@ impl FrozenArtifact {
 
 /// The tape-free batched scoring engine for downstream recommenders.
 ///
-/// Scores flat event sets in sequential index-range batches — the same
-/// scheme as the training-side `uae_models::predict` — via the model's
-/// [`Recommender::infer`]. Because the forward kernels are row-independent
-/// and `infer` shares its body with the tape forward, the outputs are
-/// bit-identical to `predict` at any batch size.
+/// Scores flat event sets in sequential index-range batches via the
+/// model's [`Recommender::infer`], like `uae_models::predict`, but with each
+/// batch in its own arena generation. Because the forward kernels are
+/// row-independent, the outputs are bit-identical to `predict` at any batch
+/// size.
 pub struct RecScorer {
     model: Box<dyn Recommender + Send + Sync>,
     params: Params,
@@ -272,10 +272,7 @@ impl RecScorer {
         batch_size: usize,
     ) -> Result<RecScorer, UaeError> {
         assert!(batch_size > 0, "batch_size must be positive");
-        let (model, mut params) = frozen.build()?;
-        // Frozen (shared) params make the tape-free forward's per-batch
-        // weight clones O(1) handle copies instead of memcpys.
-        params.freeze();
+        let (model, params) = frozen.build()?;
         Ok(RecScorer {
             model,
             params,
@@ -305,8 +302,12 @@ impl RecScorer {
             let end = (start + self.batch_size).min(data.len());
             let idx: Vec<usize> = (start..end).collect();
             let batch = data.gather(&idx);
-            let logits = self.model.infer(&self.params, &batch);
-            scores.extend(logits.data().iter().map(|&z| sigmoid(z)));
+            // One batch = one arena generation: intermediates bump-allocate
+            // and are rewound wholesale on the next batch's entry.
+            uae_tensor::arena::scoped(|| {
+                let logits = self.model.infer(&self.params, &batch);
+                scores.extend(logits.data().iter().map(|&z| sigmoid(z)));
+            });
             let micros = span.elapsed().as_micros().max(1) as f64;
             uae_obs::gauge(
                 "serve.rec_batch_events_per_sec",

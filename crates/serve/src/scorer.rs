@@ -7,20 +7,21 @@
 //! 1. sessions are bucketed by length and padded into batches
 //!    ([`uae_data::infer_seq_batches`] — deterministic, no RNG, so batch
 //!    composition is a pure function of the request);
-//! 2. each batch runs the tape-free forward ([`Uae::infer_batch`]), whose
-//!    matrix ops ride the PR-2 blocked kernels, thread-local scratch pool,
-//!    and deterministic row-partitioned worker pool — outputs are
-//!    bit-identical to the training forward at any thread count;
-//! 3. σ(logits) are scattered back to flat request order and the passive
-//!    confidence weights `w = 1 − (α̂ + 1)^(−γ)` (Eq. 19) are attached.
+//! 2. each batch runs the tape-free forward ([`Uae::infer_batch`]) in one
+//!    arena generation, on the blocked kernels and the deterministic
+//!    row-partitioned worker pool — outputs are bit-identical to
+//!    [`Uae::predict`] at any thread count;
+//! 3. σ(logits) are scattered back to flat request order by
+//!    [`uae_core::scatter_sigmoid`], the scatter `Uae::predict` uses, and
+//!    the passive confidence weights `w = 1 − (α̂ + 1)^(−γ)` (Eq. 19) are
+//!    attached.
 //!
 //! Per-batch latency and throughput are emitted through `uae-obs` as
 //! `serve.*` spans/counters/gauges when telemetry is enabled.
 
-use uae_core::{reweight, Uae};
-use uae_data::{infer_seq_batches, Dataset, SeqBatch};
+use uae_core::{flat_offsets, reweight, scatter_sigmoid, Uae};
+use uae_data::{infer_seq_batches, Dataset};
 use uae_runtime::UaeError;
-use uae_tensor::sigmoid;
 
 use crate::model::FrozenModel;
 
@@ -120,21 +121,12 @@ impl Scorer {
     }
 
     /// Rebuilds the model with explicit batching knobs. The rebuilt
-    /// parameters are frozen (shared, copy-on-write) so steady-state scoring
-    /// never memcpys a weight matrix.
+    /// parameters are views of the snapshot's arena, so steady-state
+    /// scoring never memcpys a weight matrix.
     pub fn with_config(frozen: FrozenModel, cfg: ScorerConfig) -> Result<Scorer, UaeError> {
         let gamma = frozen.gamma;
-        let mut model = frozen.build()?;
-        model.freeze_params();
+        let model = frozen.build()?;
         Ok(Scorer { model, gamma, cfg })
-    }
-
-    /// Wraps an already-built model (e.g. straight after training, skipping
-    /// the export round trip). Freezes its parameters like
-    /// [`Scorer::with_config`].
-    pub fn from_uae(mut model: Uae, gamma: f32, cfg: ScorerConfig) -> Scorer {
-        model.freeze_params();
-        Scorer { model, gamma, cfg }
     }
 
     /// The Eq. (19) exponent this scorer applies.
@@ -152,16 +144,9 @@ impl Scorer {
     /// `max_len` keep the neutral α̂ = p̂ = 0.5.
     pub fn score(&self, dataset: &Dataset, sessions: &[usize]) -> ScoreOutput {
         let _request = uae_obs::span("serve.request");
-        let n: usize = sessions.iter().map(|&s| dataset.sessions[s].len()).sum();
-        let mut attention = vec![0.5f32; n];
-        let mut propensity = vec![0.5f32; n];
-        // Prefix offsets of each requested session in flat order.
-        let mut offsets = Vec::with_capacity(sessions.len());
-        let mut acc = 0usize;
-        for &s in sessions {
-            offsets.push(acc);
-            acc += dataset.sessions[s].len();
-        }
+        let offsets = flat_offsets(dataset, sessions);
+        let mut attention = vec![0.5f32; offsets[sessions.len()]];
+        let mut propensity = attention.clone();
 
         let batches = infer_seq_batches(dataset, sessions, self.cfg.batch_size, self.cfg.max_len);
         let mut scored = 0u64;
@@ -174,8 +159,8 @@ impl Scorer {
             }
             let span = uae_obs::span("serve.batch");
             let inf = self.model.infer_batch(b);
-            scatter(&inf.attention_logits, b, &offsets, &mut attention);
-            scatter(&inf.propensity_logits, b, &offsets, &mut propensity);
+            scatter_sigmoid(&inf.attention_logits, b, &offsets, &mut attention);
+            scatter_sigmoid(&inf.propensity_logits, b, &offsets, &mut propensity);
             scored += b.valid_steps() as u64;
             let micros = span.elapsed().as_micros().max(1) as f64;
             uae_obs::gauge(
@@ -194,19 +179,6 @@ impl Scorer {
             attention,
             propensity,
             weights,
-        }
-    }
-}
-
-/// Writes σ(logits) into flat request order via the batch's origin map —
-/// the tape-free analogue of the training-side scatter.
-fn scatter(logits: &[uae_tensor::Matrix], batch: &SeqBatch, offsets: &[usize], out: &mut [f32]) {
-    for (t, vals) in logits.iter().enumerate() {
-        for i in 0..batch.batch {
-            if batch.mask[t][i] > 0.0 {
-                let (pos, step) = batch.origin[t][i];
-                out[offsets[pos] + step] = sigmoid(vals.get(i, 0));
-            }
         }
     }
 }
@@ -233,6 +205,8 @@ mod tests {
         (ds, sessions, uae, scorer)
     }
 
+    /// The scorer over the exported snapshot reproduces the live model's
+    /// predictions bit for bit.
     #[test]
     fn score_matches_training_predict_bitwise() {
         let (ds, sessions, uae, scorer) = scorer_and_data();

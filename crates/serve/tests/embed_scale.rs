@@ -3,7 +3,7 @@
 //! disk or memory-mapped, and hashed artifacts must round-trip with their
 //! bucket config intact and encode smaller than their dense twin.
 
-use uae_core::{Uae, UaeConfig};
+use uae_core::{reweight, AttentionEstimator, Uae, UaeConfig};
 use uae_data::{generate, Dataset, SimConfig};
 use uae_serve::{FrozenModel, Scorer};
 
@@ -63,7 +63,8 @@ fn read_from_open_and_in_memory_score_bit_identically() {
 
 /// A hashed model survives the v3 round trip (bucket config is
 /// architectural) and the rebuilt artifact scores bit-identically to the
-/// in-memory original — including through the mapped path.
+/// live model's predictions and their Eq. (19) weights — including through
+/// the mapped path.
 #[test]
 fn hashed_artifact_round_trips_and_scores_identically() {
     let (ds, uae) = trained(32);
@@ -75,17 +76,18 @@ fn hashed_artifact_round_trips_and_scores_identically() {
     let path = dir.join("hashed.uaem");
     frozen.write_to(&path).unwrap();
 
-    let cfg = uae_serve::ScorerConfig::default();
-    let base = Scorer::from_uae(uae, 15.0, cfg).score(&ds, &sessions);
+    let attention = uae.predict(&ds, &sessions);
+    let propensity = uae.predict_propensity(&ds, &sessions);
+    let weights: Vec<f32> = attention.iter().map(|&a| reweight(a, 15.0)).collect();
     for frozen in [
         FrozenModel::read_from(&path).unwrap(),
         FrozenModel::open(&path).unwrap(),
     ] {
         assert_eq!(frozen.hash_buckets, 32, "bucket config lost in transit");
         let out = Scorer::new(frozen).unwrap().score(&ds, &sessions);
-        assert_eq!(out.attention, base.attention);
-        assert_eq!(out.propensity, base.propensity);
-        assert_eq!(out.weights, base.weights);
+        assert_eq!(out.attention, attention);
+        assert_eq!(out.propensity, propensity);
+        assert_eq!(out.weights, weights);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

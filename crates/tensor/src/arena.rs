@@ -11,9 +11,10 @@
 //!
 //! # Lifecycle
 //!
-//! * [`scoped`] is entered once per padded batch (by `Uae::infer_batch` and
-//!   `Recommender::infer`). Entering the *outermost* scope **resets** the
-//!   bump offset, reusing the chunks left over from the previous batch, so a
+//! * [`scoped`] is entered once per padded batch, by the serving forwards
+//!   only (`Uae::infer_batch` and `RecScorer::score`). Entering the
+//!   *outermost* scope **resets** the bump offset, reusing the chunks left
+//!   over from the previous batch, so a
 //!   warmed-up serving thread performs **zero heap allocations per batch**
 //!   ([`ArenaStats::heap_allocs`] stays flat — the counter CI gates on).
 //! * Matrices may outlive the scope (the scorer reads logits out *after*
@@ -27,8 +28,8 @@
 //!   [`ArenaStats::retires`] / `heap_allocs` counter, never as corrupted
 //!   scores.
 //!
-//! Outside a scope (training, and anything else that does not enter one)
-//! `Matrix` storage comes from the scratch pool.
+//! Outside a scope (training, training-side prediction, and anything else
+//! that does not enter one) `Matrix` storage comes from the scratch pool.
 
 use std::cell::{RefCell, UnsafeCell};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -200,7 +200,9 @@ fn fusion_is_bitwise_transparent_at_ragged_shapes() {
 /// The allocation acceptance criterion: after one warm-up request, serve
 /// scoring bump-allocates every intermediate from retained arena chunks —
 /// zero fresh heap chunks, zero retires — through both the UAE scorer and
-/// the recommender scorer.
+/// the recommender scorer. The training-side predictions run the same
+/// tape-free forward off the arena: only the serving scorers open a
+/// generation.
 #[test]
 fn steady_state_serve_scoring_is_arena_allocation_free() {
     let ds = generate(&SimConfig::tiny(), 33);
@@ -236,7 +238,16 @@ fn steady_state_serve_scoring_is_arena_allocation_free() {
 
     let flat = FlatData::from_sessions(&ds, &sessions);
     let mut rng = Rng::seed_from_u64(9);
-    let (_, params) = ModelKind::Dcn.build(&ds.schema, &ModelConfig::default(), &mut rng);
+    let (model, params) = ModelKind::Dcn.build(&ds.schema, &ModelConfig::default(), &mut rng);
+    let before = arena_stats().allocs;
+    uae.predict(&ds, &sessions);
+    uae.predict_propensity(&ds, &sessions);
+    predict(model.as_ref(), &params, &flat, 16);
+    assert_eq!(
+        arena_stats().allocs,
+        before,
+        "training-side prediction allocated from the arena"
+    );
     let frozen =
         FrozenRecommender::new(&ds.schema, ModelKind::Dcn, &ModelConfig::default(), &params);
     let rec = RecScorer::with_batch_size(frozen, 16).expect("frozen recommender rebuilds");
@@ -255,8 +266,7 @@ fn steady_state_serve_scoring_is_arena_allocation_free() {
 
 /// The serving acceptance criterion: a downstream recommender exported to a
 /// variant-2 `.uaem` and re-scored through the batched [`RecScorer`] is
-/// bit-identical to its training-side tape `predict`, at one thread and at
-/// four.
+/// bit-identical to the live model's `predict`, at one thread and at four.
 #[test]
 fn exported_recommenders_round_trip_bitwise_through_uaem() {
     let ds = generate(&SimConfig::tiny(), 24);

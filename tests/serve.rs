@@ -1,7 +1,8 @@
-//! Integration tests for the serving path (DESIGN.md §10): the tape-free
-//! batched scorer must be bit-identical to the training forward at every
-//! thread count, `.uaem` snapshots must round-trip through disk exactly,
-//! and damaged snapshots must surface typed errors instead of panics.
+//! Integration tests for the serving path (DESIGN.md §10): a model rebuilt
+//! from its `.uaem` snapshot must score bit-identically to the live model's
+//! `predict`/`predict_propensity` at every thread count and batch size,
+//! snapshots must round-trip through disk exactly, and damaged snapshots
+//! must surface typed errors instead of panics.
 
 use uae::core::{AttentionEstimator, Uae, UaeConfig};
 use uae::data::{generate, SimConfig};
@@ -35,8 +36,8 @@ fn scorer_for(uae: &Uae, ds: &uae::data::Dataset, batch_size: usize) -> Scorer {
     .expect("rebuild frozen model")
 }
 
-/// The acceptance criterion of the serving tentpole: tape-free batched
-/// scoring is bit-identical to the training-path forward, at one thread
+/// The serving acceptance criterion: the batched scorer over a rebuilt
+/// snapshot is bit-identical to the live model's predictions, at one thread
 /// and at four.
 #[test]
 fn tape_free_scoring_matches_training_forward_at_1_and_4_threads() {
