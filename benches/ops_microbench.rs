@@ -2,10 +2,10 @@
 //! training time (Remark 2 of the paper notes GRU cost O(n·d²) dominates).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use uae_core::{Phase, PnRisk, RiskEstimator, WeightCtx};
-use uae_data::{generate, seq_batches, SimConfig};
-use uae_nn::GruCell;
-use uae_tensor::{
+use uae::core::{Phase, PnRisk, RiskEstimator, WeightCtx};
+use uae::data::{generate, seq_batches, SimConfig};
+use uae::nn::GruCell;
+use uae::tensor::{
     arena, gru_unroll_steps, with_kernel_mode, with_num_threads, Exec, KernelMode, Matrix, Params,
     Rng, Tape, ValueExec, Var,
 };
@@ -114,7 +114,7 @@ fn bench_uae_training_step(c: &mut Criterion) {
     let batch = batches[batches.len() - 1].clone();
     let mut params = Params::new();
     let net =
-        uae_core::AttentionNet::new("g", &ds.schema, 8, 32, &[32], None, &mut params, &mut rng);
+        uae::core::AttentionNet::new("g", &ds.schema, 8, 32, &[32], None, &mut params, &mut rng);
     c.bench_function("attention_net_fwd_bwd", |bench| {
         bench.iter(|| {
             let mut tape = Tape::new();
@@ -125,7 +125,7 @@ fn bench_uae_training_step(c: &mut Criterion) {
                 p_hat: None,
             };
             let w = PnRisk.weights(Phase::Attention, &ctx);
-            let loss = uae_core::masked_sequence_bce(
+            let loss = uae::core::masked_sequence_bce(
                 &mut tape,
                 &out.logits,
                 &w.pos,
@@ -155,7 +155,7 @@ fn bench_flatten(c: &mut Criterion) {
     let ds = generate(&SimConfig::product(0.1), 4);
     let sessions: Vec<usize> = (0..ds.sessions.len()).collect();
     c.bench_function("flatten_product_0.1", |bench| {
-        bench.iter(|| std::hint::black_box(uae_data::FlatData::from_sessions(&ds, &sessions)))
+        bench.iter(|| std::hint::black_box(uae::data::FlatData::from_sessions(&ds, &sessions)))
     });
 }
 

@@ -137,6 +137,16 @@ matrix_out=$(./target/release/uae matrix --fast)
 grep -q "attention AUC" <<< "$matrix_out"
 grep -q "position-bias" <<< "$matrix_out"
 
+echo "==> paper-artifact smoke (uae stats / ablations / embed-accuracy, --fast)"
+# Non-training and short-training paper artifacts: capture each output (a
+# -q reader would SIGPIPE the CLI mid-print) and check one line of each.
+stats_out=$(./target/release/uae stats --fast)
+grep -q "Fig. 2(c): P(active) by #active actions" <<< "$stats_out"
+ablations_out=$(./target/release/uae ablations --fast)
+grep -q "ablation 4: downstream DCN-V2" <<< "$ablations_out"
+embed_out=$(./target/release/uae embed-accuracy --fast)
+grep -q "hashed held-out attention AUC" <<< "$embed_out"
+
 echo "==> serving smoke (export -> score -> summarize serving section)"
 rm -f /tmp/uae_ci_model.uaem /tmp/uae_ci_serve.jsonl
 ./target/release/uae export /tmp/uae_ci_model.uaem --fast >/dev/null

@@ -259,7 +259,7 @@ impl SimConfig {
     /// `user_id` cardinality in the millions makes dense per-id embedding
     /// tables the dominant memory cost, which is exactly the regime hashed
     /// embeddings and memory-mapped `.uaem` arenas exist for (see the
-    /// `embed_accuracy` bench target and the benchmark's `serve-swap`).
+    /// `uae embed-accuracy` report and the benchmark's `serve-swap`).
     pub fn million_users() -> Self {
         let mut cfg = SimConfig::product(0.33);
         cfg.name = "million-users".into();

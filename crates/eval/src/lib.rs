@@ -16,8 +16,8 @@
 //! | [`table`] | plain-text rendering of all of the above |
 //!
 //! Dataset statistics (Figs. 2–3, Table III) live in `uae-data::stats`; the
-//! theorem validations (Thms 1–6) in `uae-core::theory`. The bench targets
-//! in `uae-bench` print each artifact via these modules.
+//! theorem validations (Thms 1–6) in `uae-core::theory`. The `uae` CLI
+//! prints each artifact via these modules (`uae stats`, `uae table4`, …).
 
 pub mod ab;
 pub mod convergence;

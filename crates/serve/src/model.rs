@@ -338,8 +338,14 @@ pub(crate) fn load_mapped(
         }));
     }
     for (id, e) in params.ids().zip(entries) {
+        if params.name(id) != e.name {
+            return Err(UaeError::Decode(DecodeError::NameMismatch {
+                expected: params.name(id).to_string(),
+                found: e.name.clone(),
+            }));
+        }
         let expected = params.shape(id);
-        if (e.rows, e.cols) != expected || params.name(id) != e.name {
+        if (e.rows, e.cols) != expected {
             return Err(UaeError::Decode(DecodeError::ShapeMismatch {
                 name: e.name.clone(),
                 expected,
@@ -726,6 +732,25 @@ mod tests {
         let frozen =
             FrozenModel::from_checkpoint(&snap, &ds.schema, uae.config(), true, 15.0).unwrap();
         assert_eq!(frozen, FrozenModel::from_uae(&uae, &ds.schema, 15.0));
+    }
+
+    #[test]
+    fn renamed_parameter_is_a_typed_name_mismatch() {
+        let (ds, uae) = tiny_model();
+        let mut frozen = FrozenModel::from_uae(&uae, &ds.schema, 15.0);
+        let expected = frozen.arena.tables[0][0].name.clone();
+        frozen.arena.tables[0][0].name = "uae.g.renamed".into();
+        match frozen.build() {
+            Err(UaeError::Decode(DecodeError::NameMismatch {
+                expected: e,
+                found: f,
+            })) => {
+                assert_eq!(e, expected);
+                assert_eq!(f, "uae.g.renamed");
+            }
+            Err(other) => panic!("expected a name mismatch, got {other:?}"),
+            Ok(_) => panic!("a renamed parameter was accepted"),
+        }
     }
 
     #[test]

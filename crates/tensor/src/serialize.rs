@@ -27,6 +27,9 @@ pub enum DecodeError {
     Truncated,
     /// A name was not valid UTF-8.
     BadName,
+    /// A decoded parameter's name differs from the receiving arena's name at
+    /// the same position.
+    NameMismatch { expected: String, found: String },
     /// The decoded parameters do not match the receiving arena's shapes.
     ShapeMismatch {
         name: String,
@@ -44,6 +47,9 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadVersion(v) => write!(f, "unsupported blob version {v}"),
             DecodeError::Truncated => write!(f, "truncated parameter blob"),
             DecodeError::BadName => write!(f, "parameter name is not UTF-8"),
+            DecodeError::NameMismatch { expected, found } => {
+                write!(f, "expected parameter {expected:?}, blob has {found:?}")
+            }
             DecodeError::ShapeMismatch {
                 name,
                 expected,
@@ -157,8 +163,14 @@ pub fn load_params(params: &mut Params, bytes: &[u8]) -> Result<(), DecodeError>
         });
     }
     for (id, record) in params.ids().collect::<Vec<_>>().into_iter().zip(&decoded) {
+        if params.name(id) != record.name {
+            return Err(DecodeError::NameMismatch {
+                expected: params.name(id).to_string(),
+                found: record.name.clone(),
+            });
+        }
         let expected = params.shape(id);
-        if record.value.shape() != expected || params.name(id) != record.name {
+        if record.value.shape() != expected {
             return Err(DecodeError::ShapeMismatch {
                 name: record.name.clone(),
                 expected,
@@ -259,6 +271,18 @@ mod tests {
             load_params(&mut wrong, &blob),
             Err(DecodeError::ShapeMismatch { .. })
         ));
+        // Renamed parameter: the error names both sides.
+        let mut renamed = Params::new();
+        renamed.add("layer.w", Matrix::randn(3, 4, 1.0, &mut rng));
+        renamed.add("layer.bias", Matrix::randn(1, 4, 1.0, &mut rng));
+        renamed.add("emb", Matrix::randn(10, 2, 1.0, &mut rng));
+        assert_eq!(
+            load_params(&mut renamed, &blob),
+            Err(DecodeError::NameMismatch {
+                expected: "layer.bias".into(),
+                found: "layer.b".into(),
+            })
+        );
     }
 
     #[test]

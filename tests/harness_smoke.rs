@@ -1,5 +1,5 @@
 //! Smoke tests of every experiment harness entry point at reduced scale —
-//! each bench target's code path runs end to end.
+//! each paper-artifact command's code path runs end to end.
 
 use uae::eval::{
     paper_gammas, render_reweight_curves, run_ab_test, run_convergence, run_gamma_sweep,
