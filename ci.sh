@@ -61,6 +61,22 @@ for nt in 1 4; do
     UAE_NUM_THREADS=$nt cargo test -q -p uae-serve --test daemon
 done
 
+# `.cargo/config.toml` builds x86_64 at x86-64-v3 (AVX2, FMA). The baseline
+# ISA stays the tested reference: a build at `-C target-cpu=x86-64`
+# (RUSTFLAGS overrides the config file), in its own target dir, must hit
+# the same pinned fingerprints at both thread counts.
+if [ "$(uname -m)" = x86_64 ]; then
+    echo "==> x86-64 baseline build: same bits as the x86-64-v3 build (UAE_NUM_THREADS=1 and =4)"
+    (
+        export RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64-baseline
+        for nt in 1 4; do
+            UAE_NUM_THREADS=$nt cargo test -q -p uae-core --test refactor_identity
+            UAE_NUM_THREADS=$nt cargo test -q --test exec_equivalence
+            UAE_NUM_THREADS=$nt cargo test -q -p uae-tensor --test parallel_determinism
+        done
+    )
+fi
+
 echo "==> committed MATRIX.jsonl (full estimator x scenario grid; UAE beats PN on baseline)"
 python3 -c "
 import json
@@ -93,7 +109,7 @@ echo "==> telemetry smoke (JSONL sink + summarize round-trip)"
 rm -f /tmp/uae_ci_telemetry.jsonl
 UAE_TELEMETRY=/tmp/uae_ci_telemetry.jsonl ./target/release/uae smoke >/dev/null
 python3 -c "
-import json, sys
+import json, platform
 lines = [l for l in open('/tmp/uae_ci_telemetry.jsonl') if l.strip()]
 assert lines, 'telemetry log is empty'
 records = [json.loads(l) for l in lines]
@@ -102,6 +118,12 @@ assert first['type'] == 'run_manifest', first
 assert first['seq'] == 0 and first['run'] == 'smoke', first
 for k in ('version', 'seed', 'threads', 'kernel_mode', 'config'):
     assert k in first, k
+# The smoke trains on observed labels, and its manifest must say so.
+assert first['config']['label_mode'] == 'Observed', first['config']
+# An x86_64 build that lost .cargo/config.toml runs at the baseline ISA,
+# about 20% slower: fail here instead.
+if platform.machine() == 'x86_64':
+    assert 'avx2' in first['config']['codegen'], first['config']
 kinds = {r['type'] for r in records}
 for k in ('phase_start', 'phase_end', 'fit_epoch', 'train_step', 'epoch', 'counter'):
     assert k in kinds, f'missing event kind {k}'

@@ -222,8 +222,8 @@ pub fn fig7(cfg: &HarnessConfig, ab: &AbConfig) {
     println!("Paper shape: positive uplift every day, averaging > 2% on both metrics.");
 }
 
-/// Attention AUC and calibration of one UAE (or SAR) fit, scored on its
-/// own training events.
+/// Attention AUC and calibration of one UAE (or SAR) fit on the training
+/// sessions, scored on the held-out test sessions.
 fn attn_quality(uae_cfg: UaeConfig, data: &PreparedData, sar: bool) -> (f64, f64) {
     let mut est = if sar {
         Uae::new_sar(&data.dataset.schema, uae_cfg)
@@ -231,8 +231,8 @@ fn attn_quality(uae_cfg: UaeConfig, data: &PreparedData, sar: bool) -> (f64, f64
         Uae::new(&data.dataset.schema, uae_cfg)
     };
     est.fit(&data.dataset, &data.split.train);
-    let scores = est.predict(&data.dataset, &data.split.train);
-    let truth = &data.train.true_attention;
+    let scores = est.predict(&data.dataset, &data.split.test);
+    let truth = &data.test.true_attention;
     (
         auc(&scores, truth).unwrap_or(0.5),
         expected_calibration_error(&scores, truth, 10),
@@ -251,10 +251,12 @@ fn attn_quality(uae_cfg: UaeConfig, data: &PreparedData, sar: bool) -> (f64, f64
 ///    task).
 pub fn ablations(cfg: &HarnessConfig) {
     let data = prepare(Preset::Product, cfg);
-    let flat_len = data.train.len();
     println!(
-        "=== UAE ablations (Product preset, scale {:.2}, {} training events) ===\n",
-        cfg.data_scale, flat_len
+        "=== UAE ablations (Product preset, scale {:.2}, {} training events; \
+         attention scored on {} held-out test events) ===\n",
+        cfg.data_scale,
+        data.train.len(),
+        data.test.len()
     );
     let seed = 11u64;
     let base_cfg = UaeConfig {

@@ -96,7 +96,23 @@ fn config(command: Option<&str>, fast: bool) -> HarnessConfig {
     if matches!(command, Some("fig5" | "fig6" | "fig7" | "ablations")) {
         cfg.label_mode = LabelMode::OraclePreference;
     }
+    // The smoke trains on the paper's observed labels. Set here, before
+    // `install_telemetry` writes the manifest, so the manifest records it.
+    if command == Some("smoke") {
+        cfg.label_mode = LabelMode::Observed;
+    }
     cfg
+}
+
+/// The vector ISA this binary was compiled for. `.cargo/config.toml` builds
+/// x86_64 at x86-64-v3; a build that lost it reads "baseline", and its
+/// numbers are not comparable to the benchmark's.
+fn codegen_level() -> &'static str {
+    match (cfg!(target_feature = "avx2"), cfg!(target_feature = "fma")) {
+        (true, true) => "avx2+fma",
+        (true, false) => "avx2",
+        _ => "baseline",
+    }
 }
 
 /// Installs the JSONL telemetry sink when `UAE_TELEMETRY` names a path,
@@ -126,6 +142,7 @@ fn install_telemetry(run: &str, cfg: &HarnessConfig) {
             ("seeds".into(), seeds),
             ("label_mode".into(), format!("{:?}", cfg.label_mode)),
             ("epochs".into(), cfg.train.epochs.to_string()),
+            ("codegen".into(), codegen_level().into()),
         ],
     };
     if let Err(e) = uae::obs::install_jsonl(std::path::Path::new(&path), manifest) {
@@ -783,10 +800,7 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        Some("smoke") => {
-            cfg.label_mode = LabelMode::Observed;
-            cmd_smoke(&cfg);
-        }
+        Some("smoke") => cmd_smoke(&cfg),
         Some("summarize") => {
             let Some(path) = args.get(1) else {
                 eprintln!("usage: uae summarize <run.jsonl>");
