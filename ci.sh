@@ -159,7 +159,7 @@ matrix_out=$(./target/release/uae matrix --fast)
 grep -q "attention AUC" <<< "$matrix_out"
 grep -q "position-bias" <<< "$matrix_out"
 
-echo "==> paper-artifact smoke (uae stats / ablations / embed-accuracy, --fast)"
+echo "==> paper-artifact smoke (uae stats / ablations / embed-accuracy / table5, --fast)"
 # Non-training and short-training paper artifacts: capture each output (a
 # -q reader would SIGPIPE the CLI mid-print) and check one line of each.
 stats_out=$(./target/release/uae stats --fast)
@@ -168,6 +168,9 @@ ablations_out=$(./target/release/uae ablations --fast)
 grep -q "ablation 4: downstream DCN-V2" <<< "$ablations_out"
 embed_out=$(./target/release/uae embed-accuracy --fast)
 grep -q "hashed held-out attention AUC" <<< "$embed_out"
+# Table V's attention-quality extension must stay scored on held-out events.
+table5_out=$(./target/release/uae table5 --fast)
+grep -q "Attention quality on held-out events" <<< "$table5_out"
 
 echo "==> serving smoke (export -> score -> summarize serving section)"
 rm -f /tmp/uae_ci_model.uaem /tmp/uae_ci_serve.jsonl

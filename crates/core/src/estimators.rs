@@ -191,12 +191,6 @@ pub trait RiskEstimator: Send + Sync {
     /// Display name (also the telemetry prefix, lower-cased).
     fn name(&self) -> &'static str;
 
-    /// `true` when the estimator trains the propensity head `h` in an
-    /// alternating propensity phase; `false` for single-network estimators.
-    fn dual(&self) -> bool {
-        false
-    }
-
     /// Which probability grids [`RiskEstimator::weights`] will read in
     /// `phase`.
     fn inputs(&self, phase: Phase) -> PhaseInputs;
@@ -277,10 +271,6 @@ impl UaeDualRisk {
 impl RiskEstimator for UaeDualRisk {
     fn name(&self) -> &'static str {
         "UAE"
-    }
-
-    fn dual(&self) -> bool {
-        true
     }
 
     fn inputs(&self, phase: Phase) -> PhaseInputs {
@@ -591,10 +581,6 @@ impl RiskEstimator for BiserRisk {
         "BISER"
     }
 
-    fn dual(&self) -> bool {
-        true
-    }
-
     fn inputs(&self, _phase: Phase) -> PhaseInputs {
         // The pseudo-label posterior needs both networks in both phases.
         PhaseInputs {
@@ -684,10 +670,6 @@ impl AdpuRisk {
 impl RiskEstimator for AdpuRisk {
     fn name(&self) -> &'static str {
         "ADPU"
-    }
-
-    fn dual(&self) -> bool {
-        true
     }
 
     fn inputs(&self, phase: Phase) -> PhaseInputs {
@@ -838,7 +820,9 @@ impl EstimatorSpec {
         ]
     }
 
-    /// Whether the built estimator trains a propensity head.
+    /// Whether the estimator trains a propensity head `h` in an alternating
+    /// propensity phase (the one place this is decided: [`crate::Uae::new`]
+    /// builds the sequential head exactly when it holds).
     pub fn dual(&self) -> bool {
         matches!(
             self,
@@ -1142,8 +1126,6 @@ mod tests {
             let parsed = EstimatorSpec::parse(spec.cli_name()).unwrap();
             assert_eq!(parsed.cli_name(), spec.cli_name());
             assert_eq!(parsed.dual(), spec.dual());
-            let built = spec.build(&UaeConfig::default());
-            assert_eq!(built.dual(), spec.dual());
         }
         assert!(EstimatorSpec::parse("UAE").is_some());
         assert!(EstimatorSpec::parse("no-such-estimator").is_none());

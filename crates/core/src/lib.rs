@@ -58,4 +58,4 @@ pub use estimators::{
 };
 pub use networks::{AttentionNet, LocalPropensityNet, PropensityNet};
 pub use reweight::{downstream_weights, event_pos_neg, reweight, reweight_curve};
-pub use uae::{flat_offsets, scatter_sigmoid, Uae, UaeConfig, UaeInference};
+pub use uae::{flat_offsets, scatter_sigmoid, HeadKind, Uae, UaeConfig, UaeInference};

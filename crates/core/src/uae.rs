@@ -97,28 +97,32 @@ impl UaeConfig {
     }
 }
 
-/// How the propensity side of the alternating optimization is modelled.
-pub(crate) enum PropensityHead {
+/// Which propensity head a [`Uae`] carries: the one fact, beside the
+/// shared widths, that decides its architecture, and what a frozen
+/// snapshot records to rebuild it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeadKind {
     /// UAE: GRU₂ over feedback history + MLP₂ over `z₁ ⊕ z₂ ⊕ e_{t-1}`.
-    Sequential(PropensityNet),
+    Sequential,
     /// SAR: MLP over current features only (local labelling assumption).
-    Local(LocalPropensityNet),
+    Local,
     /// Single-network estimators (PN, NDB, ideal, oracle, rel-MF): no
     /// propensity model is trained at all.
     None,
 }
 
-impl PropensityHead {
-    /// `true` when the head reads the attention representations `z₁`.
-    fn reads_z1(&self) -> bool {
-        matches!(self, PropensityHead::Sequential(_))
-    }
+/// The propensity head [`HeadKind`] names, with its network.
+pub(crate) enum PropensityHead {
+    Sequential(PropensityNet),
+    Local(LocalPropensityNet),
+    None,
+}
 
+impl PropensityHead {
     /// Forward of the head with parameters `params` (Θ_h). `z1` is read
     /// only by the sequential head, as is: on the tape, pass constant
-    /// leaves to keep gradient out of Θ_g. Only reachable when a head
-    /// exists: the fit loop consults the estimator's `PhaseInputs` before
-    /// calling, and single-network estimators never request p̂.
+    /// leaves to keep gradient out of Θ_g. A missing head has no logits,
+    /// so a scatter over them leaves the 0.5 prior in place.
     fn logits<E: Exec>(
         &self,
         exec: &mut E,
@@ -129,9 +133,7 @@ impl PropensityHead {
         match self {
             PropensityHead::Sequential(net) => net.forward(exec, params, batch, z1),
             PropensityHead::Local(net) => net.forward(exec, params, batch),
-            PropensityHead::None => {
-                panic!("a single-network estimator has no propensity head")
-            }
+            PropensityHead::None => Vec::new(),
         }
     }
 }
@@ -320,46 +322,49 @@ pub struct Uae {
 
 impl Uae {
     /// Builds the model `cfg.estimator` asks for: the paper's UAE by
-    /// default, or any other [`RiskEstimator`] from the catalogue.
-    /// Single-network estimators skip the propensity head entirely.
+    /// default, or any other [`RiskEstimator`] from the catalogue. Dual
+    /// estimators ([`EstimatorSpec::dual`]) get the sequential head;
+    /// single-network ones skip the propensity head entirely.
     pub fn new(schema: &uae_data::FeatureSchema, cfg: UaeConfig) -> Self {
-        Self::construct(schema, cfg, false).init(0x7561_6531)
+        let head = if cfg.estimator.dual() {
+            HeadKind::Sequential
+        } else {
+            HeadKind::None
+        };
+        Self::construct(schema, cfg, head).init(0x7561_6531)
     }
 
     /// Builds the SAR baseline: same alternating optimization (always with
     /// the dual UAE risks — `cfg.estimator` is overridden), but the
     /// propensity depends on the current features only.
     pub fn new_sar(schema: &uae_data::FeatureSchema, cfg: UaeConfig) -> Self {
-        Self::construct(schema, cfg, true).init(0x7361_7233)
+        Self::construct(schema, cfg, HeadKind::Local).init(0x7361_7233)
     }
 
-    /// The model [`Uae::new`] (`sequential`) or [`Uae::new_sar`] builds,
-    /// with stored parameter values instead of drawn ones: `bind` gets Θ_g
-    /// (set 0), then Θ_h (set 1), each registered but without values, and
-    /// must give every parameter its value (see [`Params::bind`]). Nothing
-    /// is drawn and no gradient buffer is allocated.
+    /// The model [`Uae::new`] or [`Uae::new_sar`] builds with propensity
+    /// head `head`, with stored parameter values instead of drawn ones:
+    /// `bind` gets Θ_g (set 0), then Θ_h (set 1), each registered but
+    /// without values, and must give every parameter its value (see
+    /// [`Params::bind`]). Nothing is drawn and no gradient buffer is
+    /// allocated. A bound model serves; it is not fitted.
     pub fn bind<E>(
         schema: &uae_data::FeatureSchema,
         cfg: UaeConfig,
-        sequential: bool,
+        head: HeadKind,
         mut bind: impl FnMut(&mut Params, usize) -> Result<(), E>,
     ) -> Result<Self, E> {
-        let mut uae = Self::construct(schema, cfg, !sequential);
+        let mut uae = Self::construct(schema, cfg, head);
         bind(&mut uae.params_g, 0)?;
         bind(&mut uae.params_h, 1)?;
         Ok(uae)
     }
 
     /// Registers both networks' parameters and draws nothing.
-    fn construct(schema: &uae_data::FeatureSchema, cfg: UaeConfig, sar: bool) -> Self {
-        let cfg = if sar {
-            UaeConfig {
-                estimator: EstimatorSpec::UaeDual,
-                ..cfg
-            }
-        } else {
-            cfg
-        };
+    fn construct(schema: &uae_data::FeatureSchema, mut cfg: UaeConfig, head: HeadKind) -> Self {
+        let sar = head == HeadKind::Local;
+        if sar {
+            cfg.estimator = EstimatorSpec::UaeDual;
+        }
         let estimator = cfg.estimator.build(&cfg);
         let prefix = if sar { "sar" } else { "uae" };
         let mut params_g = Params::new();
@@ -373,25 +378,23 @@ impl Uae {
             &mut params_g,
         );
         let mut params_h = Params::new();
-        let h = if sar {
-            PropensityHead::Local(LocalPropensityNet::new(
+        let h = match head {
+            HeadKind::Local => PropensityHead::Local(LocalPropensityNet::new(
                 "sar.h",
                 schema,
                 cfg.embed_dim,
                 &cfg.mlp_hidden,
                 cfg.hash_spec(),
                 &mut params_h,
-            ))
-        } else if estimator.dual() {
-            PropensityHead::Sequential(PropensityNet::new(
+            )),
+            HeadKind::Sequential => PropensityHead::Sequential(PropensityNet::new(
                 "uae.h",
                 cfg.gru_hidden,
                 cfg.gru_hidden.max(4) / 2,
                 &cfg.mlp_hidden,
                 &mut params_h,
-            ))
-        } else {
-            PropensityHead::None
+            )),
+            HeadKind::None => PropensityHead::None,
         };
         let name = if sar { "SAR" } else { estimator.name() };
         Uae {
@@ -433,7 +436,7 @@ impl Uae {
         // Θ_h is fixed in this phase: p̂ is a constant of the step, so `h`
         // runs tape-free on copies of the `z₁` values.
         let p_hat = need.p_hat.then(|| {
-            let z1: Vec<Matrix> = if self.h.reads_z1() {
+            let z1: Vec<Matrix> = if self.head_kind() == HeadKind::Sequential {
                 gf.z1.iter().map(|&z| tape.value(z).clone()).collect()
             } else {
                 Vec::new()
@@ -472,7 +475,7 @@ impl Uae {
     }
 
     /// Runs the propensity phase's steps on `batches[seq[k]]` in order,
-    /// stopping at the first anomaly. Only runs for dual estimators.
+    /// stopping at the first anomaly. Only runs for a model with a head.
     ///
     /// Θ_g is fixed for the whole phase, so its tape-free forward for the
     /// next batch runs on a second thread while this one fits Θ_h on the
@@ -491,7 +494,7 @@ impl Uae {
         tally: &mut PhaseTally,
     ) -> Result<(), Anomaly> {
         let alpha_hat = self.estimator.inputs(Phase::Propensity).alpha_hat;
-        let z1 = self.h.reads_z1();
+        let z1 = self.head_kind() == HeadKind::Sequential;
         let (g, params_g) = (&self.g, &self.params_g);
         let produce = move |bi: usize| GOutputs::compute(g, params_g, &batches[bi], alpha_hat, z1);
         let mut fit = PropensityFit {
@@ -546,11 +549,14 @@ impl Uae {
         &self.cfg
     }
 
-    /// `true` for the sequential propensity head (UAE), `false` for the
-    /// local SAR head — the bit a frozen snapshot needs to rebuild the
-    /// right architecture.
-    pub fn is_sequential(&self) -> bool {
-        matches!(self.h, PropensityHead::Sequential(_))
+    /// The propensity head this model carries — what a frozen snapshot
+    /// records to rebuild the same architecture.
+    pub fn head_kind(&self) -> HeadKind {
+        match self.h {
+            PropensityHead::Sequential(_) => HeadKind::Sequential,
+            PropensityHead::Local(_) => HeadKind::Local,
+            PropensityHead::None => HeadKind::None,
+        }
     }
 
     /// Tape-free forward of both networks over one padded batch: the *same*
@@ -575,11 +581,11 @@ impl Uae {
         })
     }
 
-    /// Freezes Θ_g and Θ_h into shared buffers (see
+    /// Freezes Θ_g and Θ_h into shared read-only regions (see
     /// [`uae_tensor::Params::freeze`]) so the tape-free forward's per-batch
     /// param clones become O(1) handle copies. Parameters bound to a `.uaem`
-    /// arena are already shared views; this is for a model built by
-    /// [`Uae::new`]. Training afterwards still works (mutation
+    /// arena are already shared views of the same kind; this is for a model
+    /// built by [`Uae::new`]. Training afterwards still works (mutation
     /// copies-on-write).
     pub fn freeze_params(&mut self) {
         self.params_g.freeze();
@@ -662,10 +668,10 @@ impl Uae {
         // Plug-in estimators (e.g. rel-MF) fit their statistics on the
         // observed training split before any gradient step.
         self.estimator.prepare(dataset, sessions);
-        // Single-network estimators have no propensity phase; they inherit
-        // its sweep budget so every estimator performs the same number of
-        // sweeps per epoch.
-        let dual = self.estimator.dual();
+        // A model without a propensity head has no propensity phase; it
+        // inherits that phase's sweep budget so every estimator performs
+        // the same number of sweeps per epoch.
+        let dual = self.head_kind() != HeadKind::None;
         let att_passes = if dual {
             self.cfg.n_a
         } else {
@@ -749,7 +755,7 @@ impl Uae {
                         micros: phase_start.elapsed().as_micros() as u64,
                     });
                     // Phase 2: propensity risk minimizer (lines 8–12) —
-                    // dual estimators only.
+                    // models with a propensity head only.
                     if pro_passes > 0 {
                         uae_obs::emit(|| uae_obs::Event::PhaseStart {
                             name: "propensity".into(),
@@ -886,13 +892,9 @@ impl Uae {
 
     /// Predicted propensities `p̂` per event (flat order) — exposed for the
     /// theory benches and diagnostics; downstream recommendation only needs
-    /// the attention side (Remark 3).
+    /// the attention side (Remark 3). A model without a propensity head
+    /// leaves the uninformative 0.5 prior in every slot.
     pub fn predict_propensity(&self, dataset: &Dataset, sessions: &[usize]) -> Vec<f32> {
-        if matches!(self.h, PropensityHead::None) {
-            // Single-network estimators carry no propensity model; the
-            // uninformative 0.5 prior fills every slot.
-            return vec![0.5; flat_offsets(dataset, sessions)[sessions.len()]];
-        }
         self.predict_flat(dataset, sessions, |vx, b| {
             let gf = self.g.forward(vx, &self.params_g, b);
             self.h.logits(vx, &self.params_h, b, &gf.z1)

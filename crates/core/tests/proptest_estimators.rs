@@ -40,7 +40,7 @@ fn grids_for(
     let sessions: Vec<usize> = (0..ds.sessions.len()).collect();
     est.prepare(ds, &sessions);
     let mut out = Vec::new();
-    let phases: &[Phase] = if est.dual() {
+    let phases: &[Phase] = if spec.dual() {
         &[Phase::Attention, Phase::Propensity]
     } else {
         &[Phase::Attention]

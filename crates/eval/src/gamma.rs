@@ -41,8 +41,8 @@ pub fn run_gamma_sweep(cfg: &HarnessConfig, gammas: &[f32]) -> GammaSweep {
     let data = prepare(Preset::Product, cfg);
     // seed → (base (auc, gauc), per-γ (auc, gauc))
     let fan = over_seeds_isolated(&cfg.seeds, |seed| {
-        let alpha = AttentionMethod::Uae
-            .attention_scores(&data, cfg, seed)
+        let [alpha] = AttentionMethod::Uae
+            .attention_scores(&data, cfg, seed, [&data.split.train])
             .expect("scores");
         let base = crate::harness::run_model(ModelKind::DcnV2, None, &data, cfg, seed);
         let sweep: Vec<(f64, f64)> = gammas

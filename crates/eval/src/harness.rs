@@ -187,59 +187,56 @@ impl AttentionMethod {
         ]
     }
 
-    /// Estimated attention probabilities `α̂` for every *training* event of
-    /// `data` (flat order), or `None` for [`AttentionMethod::Base`].
+    /// Estimated attention probabilities `α̂` for every event of each
+    /// session list in `on` (flat order each), all from one fit, or `None`
+    /// for [`AttentionMethod::Base`].
     ///
     /// Fitting uses only observed feedback of the training sessions; the
     /// oracle method reads the simulator's truth instead.
-    pub fn attention_scores(
+    pub fn attention_scores<const N: usize>(
         self,
         data: &PreparedData,
         cfg: &HarnessConfig,
         seed: u64,
-    ) -> Option<Vec<f32>> {
-        let sessions = &data.split.train;
+        on: [&[usize]; N],
+    ) -> Option<[Vec<f32>; N]> {
+        let ds = &data.dataset;
         let uae_cfg = UaeConfig {
             seed,
             ..cfg.uae.clone()
         };
+        let fitted = |mut est: Uae| {
+            est.fit(ds, &data.split.train);
+            on.map(|s| est.predict(ds, s))
+        };
         match self {
             AttentionMethod::Base => None,
-            AttentionMethod::Oracle => Some(data.train.true_alpha.clone()),
-            AttentionMethod::Edm => Some(Edm::default().predict(&data.dataset, sessions)),
+            AttentionMethod::Oracle => Some(on.map(|s| FlatData::from_sessions(ds, s).true_alpha)),
+            AttentionMethod::Edm => Some(on.map(|s| Edm::default().predict(ds, s))),
             AttentionMethod::Pn => {
                 // The paper's PN treats the attention of every unlabeled
                 // (passive) sample as exactly zero, i.e. passive events are
                 // discarded (w(0; γ) = 0). Active events keep weight 1
                 // through Eq. (18) regardless.
-                Some(vec![0.0; data.train.len()])
+                Some(on.map(|s| vec![0.0; s.iter().map(|&i| ds.sessions[i].len()).sum()]))
             }
             AttentionMethod::Ndb => {
                 let ndb = UaeConfig {
                     estimator: EstimatorSpec::Ndb { window: 10 },
                     ..uae_cfg
                 };
-                let mut est = Uae::new(&data.dataset.schema, ndb);
-                est.fit(&data.dataset, sessions);
-                Some(est.predict(&data.dataset, sessions))
+                Some(fitted(Uae::new(&ds.schema, ndb)))
             }
-            AttentionMethod::Sar => {
-                let mut est = Uae::new_sar(&data.dataset.schema, uae_cfg);
-                est.fit(&data.dataset, sessions);
-                Some(est.predict(&data.dataset, sessions))
-            }
-            AttentionMethod::Uae => {
-                let mut est = Uae::new(&data.dataset.schema, uae_cfg);
-                est.fit(&data.dataset, sessions);
-                Some(est.predict(&data.dataset, sessions))
-            }
+            AttentionMethod::Sar => Some(fitted(Uae::new_sar(&ds.schema, uae_cfg))),
+            AttentionMethod::Uae => Some(fitted(Uae::new(&ds.schema, uae_cfg))),
         }
     }
 
-    /// Downstream per-event weights (Eq. 19 over [`Self::attention_scores`]).
+    /// Downstream per-event weights of the training events (Eq. 19 over
+    /// [`Self::attention_scores`]).
     pub fn weights(self, data: &PreparedData, cfg: &HarnessConfig, seed: u64) -> Option<Vec<f32>> {
-        self.attention_scores(data, cfg, seed)
-            .map(|alpha| downstream_weights(&alpha, cfg.gamma))
+        self.attention_scores(data, cfg, seed, [&data.split.train])
+            .map(|[alpha]| downstream_weights(&alpha, cfg.gamma))
     }
 }
 
@@ -498,8 +495,8 @@ mod tests {
         let cfg = HarnessConfig::fast();
         let data = prepare(Preset::Product, &cfg);
         assert!(AttentionMethod::Base.weights(&data, &cfg, 0).is_none());
-        let oracle = AttentionMethod::Oracle
-            .attention_scores(&data, &cfg, 0)
+        let [oracle] = AttentionMethod::Oracle
+            .attention_scores(&data, &cfg, 0, [&data.split.train])
             .unwrap();
         assert_eq!(oracle, data.train.true_alpha);
     }

@@ -22,7 +22,8 @@ pub struct Table5Entry {
     pub gauc: Vec<f64>,
 }
 
-/// Intrinsic attention-estimation quality of one method (extension).
+/// Intrinsic attention-estimation quality of one method (extension), fitted
+/// on the training sessions and scored on the held-out test events.
 #[derive(Debug, Clone)]
 pub struct AttentionQuality {
     pub dataset: &'static str,
@@ -50,8 +51,10 @@ pub fn table5_models() -> [ModelKind; 2] {
     [ModelKind::AutoInt, ModelKind::DcnV2]
 }
 
+/// AUC, Brier score and ECE of `scores`, the α̂ of every held-out test
+/// event of `data`, against the true attention indicator.
 fn quality_of(scores: &[f32], data: &PreparedData) -> (f64, f64, f64) {
-    let truth = &data.train.true_attention;
+    let truth = &data.test.true_attention;
     (
         auc(scores, truth).unwrap_or(0.5),
         brier_score(scores, truth),
@@ -78,12 +81,15 @@ pub fn run_table5_with(cfg: &HarnessConfig, methods: &[AttentionMethod]) -> Tabl
             let mut cells = Vec::new();
             let mut quality = Vec::new();
             for (qi, &method) in methods.iter().enumerate() {
-                let scores = method.attention_scores(&data, cfg, seed);
-                if let Some(s) = &scores {
-                    let (a, b, e) = quality_of(s, &data);
+                // Weights come from the training events the downstream
+                // model fits on; quality is scored on held-out events.
+                let split = &data.split;
+                let scores = method.attention_scores(&data, cfg, seed, [&split.train, &split.test]);
+                let weights = scores.map(|[train, test]| {
+                    let (a, b, e) = quality_of(&test, &data);
                     quality.push((qi, a, b, e));
-                }
-                let weights = scores.map(|s| uae_core::downstream_weights(&s, cfg.gamma));
+                    uae_core::downstream_weights(&train, cfg.gamma)
+                });
                 for (mi, kind) in table5_models().into_iter().enumerate() {
                     let out = crate::harness::run_model(kind, weights.as_deref(), &data, cfg, seed);
                     cells.push((qi, mi, out.result.auc, out.result.gauc));
@@ -208,7 +214,7 @@ impl Table5 {
             }
         }
         if !self.quality.is_empty() {
-            out.push_str("\nAttention-estimation quality vs. simulator ground truth (extension)\n");
+            out.push_str("\nAttention quality on held-out events vs. ground truth (extension)\n");
             let mut t = TextTable::new(&["Dataset", "Method", "Attn AUC", "Brier", "ECE"]);
             for q in &self.quality {
                 t.add_row(vec![
@@ -239,9 +245,10 @@ mod tests {
         let methods = [AttentionMethod::Base, AttentionMethod::Edm];
         let mut table = Table5::default();
         for &method in &methods {
-            let scores = method.attention_scores(&data, &cfg, 1);
-            if let Some(s) = &scores {
-                let (a, b, e) = quality_of(s, &data);
+            let split = &data.split;
+            let scores = method.attention_scores(&data, &cfg, 1, [&split.train, &split.test]);
+            let weights = scores.map(|[train, test]| {
+                let (a, b, e) = quality_of(&test, &data);
                 table.quality.push(AttentionQuality {
                     dataset: data.preset.name(),
                     method,
@@ -249,8 +256,8 @@ mod tests {
                     brier: vec![b],
                     ece: vec![e],
                 });
-            }
-            let weights = scores.map(|s| uae_core::downstream_weights(&s, cfg.gamma));
+                uae_core::downstream_weights(&train, cfg.gamma)
+            });
             for kind in table5_models() {
                 let out = crate::harness::run_model(kind, weights.as_deref(), &data, &cfg, 1);
                 table.entries.push(Table5Entry {

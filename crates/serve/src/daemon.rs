@@ -141,19 +141,21 @@ impl DaemonConfig {
     /// Reads `UAE_SERVE_ADDR` / `UAE_SERVE_BATCH` / `UAE_SERVE_MAX_LEN` /
     /// `UAE_SERVE_WORKERS` / `UAE_SERVE_QUEUE` / `UAE_SERVE_DEADLINE_MS` /
     /// `UAE_TRACE` / `UAE_FLIGHT_RECORDER_N` / `UAE_METRICS_INTERVAL_MS` /
-    /// `UAE_FLIGHT_RECORDER_DIR` over the defaults. Unparsable or zero
+    /// `UAE_FLIGHT_RECORDER_DIR` over the defaults; the batch and length
+    /// knobs come from [`ScorerConfig::from_env`]. Unparsable or zero
     /// numeric values keep the default — a typo in a knob must not change
     /// admission semantics.
     pub fn from_env() -> DaemonConfig {
         let mut cfg = DaemonConfig::default();
+        let scorer = ScorerConfig::from_env();
+        cfg.batch = scorer.batch_size;
+        cfg.max_len = scorer.max_len;
         let var = |key: &str| {
             let v = std::env::var(key).ok()?.trim().to_string();
             (!v.is_empty()).then_some(v)
         };
         let num = |key: &str| var(key)?.parse::<usize>().ok().filter(|&n| n > 0);
         cfg.addr = var("UAE_SERVE_ADDR").unwrap_or(cfg.addr);
-        cfg.batch = num("UAE_SERVE_BATCH").unwrap_or(cfg.batch);
-        cfg.max_len = num("UAE_SERVE_MAX_LEN");
         cfg.workers = num("UAE_SERVE_WORKERS").unwrap_or(cfg.workers);
         cfg.queue_capacity = num("UAE_SERVE_QUEUE").unwrap_or(cfg.queue_capacity);
         if let Some(n) = num("UAE_SERVE_DEADLINE_MS") {

@@ -7,9 +7,10 @@
 //! **bit-identical** to the live model's `predict`.
 //!
 //! Artifacts — one `.uaem` container (magic `UAEM`, version 3, the only
-//! layout), three variants discriminated by a variant byte, one loader:
+//! layout), four variants discriminated by a variant byte, one loader:
 //!
-//! - [`FrozenModel`] (variants 0/1) — a versioned, self-describing snapshot
+//! - [`FrozenModel`] (variants 0, 1 and 3: sequential, local or no
+//!   propensity head) — a versioned, self-describing snapshot
 //!   of the attention network `g`, the propensity network `h`, the feature
 //!   schema they were trained against, the Eq. (19) exponent γ, and the
 //!   hashed-embedding config. Every tensor sits in one 16-byte-aligned

@@ -36,7 +36,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use uae_core::{Uae, UaeConfig};
+use uae_core::{HeadKind, Uae, UaeConfig};
 use uae_data::FeatureSchema;
 use uae_runtime::checkpoint::{
     read_file, write_atomic, ByteReader, ByteWriter, CheckpointError, TrainSnapshot,
@@ -48,11 +48,29 @@ pub(crate) const MAGIC: &[u8; 4] = b"UAEM";
 /// Container version; the only one readers accept.
 pub(crate) const VERSION: u32 = 3;
 
-/// Variant byte: 0 = sequential UAE, 1 = local SAR, 2 = downstream
-/// recommender (see [`crate::FrozenRecommender`]).
-pub(crate) const VARIANT_SEQUENTIAL: u8 = 0;
-pub(crate) const VARIANT_LOCAL: u8 = 1;
+/// Variant byte of a downstream recommender (see
+/// [`crate::FrozenRecommender`]); the others name a [`FrozenModel`]'s
+/// propensity head (see [`head_byte`]).
 pub(crate) const VARIANT_RECOMMENDER: u8 = 2;
+
+/// The variant byte of a [`FrozenModel`] with propensity head `head`: 0 =
+/// sequential UAE, 1 = local SAR, 3 = no head (single-network
+/// estimators).
+pub(crate) fn head_byte(head: HeadKind) -> u8 {
+    match head {
+        HeadKind::Sequential => 0,
+        HeadKind::Local => 1,
+        HeadKind::None => 3,
+    }
+}
+
+/// The propensity head a variant byte names, if it names one (the inverse
+/// of [`head_byte`]).
+pub(crate) fn byte_head(variant: u8) -> Option<HeadKind> {
+    [HeadKind::Sequential, HeadKind::Local, HeadKind::None]
+        .into_iter()
+        .find(|&head| head_byte(head) == variant)
+}
 
 /// Encodes a [`FeatureSchema`] (shared by every artifact variant).
 pub(crate) fn put_schema(w: &mut ByteWriter, schema: &FeatureSchema) {
@@ -402,8 +420,9 @@ pub struct FrozenModel {
     /// Feature schema the model was trained against (embedding tables and
     /// dense width are derived from it on rebuild).
     pub schema: FeatureSchema,
-    /// `true` = sequential propensity head (UAE), `false` = local (SAR).
-    pub sequential: bool,
+    /// The propensity head: sequential (UAE), local (SAR) or none
+    /// (single-network estimators).
+    pub head: HeadKind,
     /// Eq. (19) reweighting exponent γ baked in at export time.
     pub gamma: f32,
     /// Embedding dimension of `g` (and the SAR head).
@@ -428,13 +447,13 @@ impl FrozenModel {
     fn with_arena(
         schema: &FeatureSchema,
         cfg: &UaeConfig,
-        sequential: bool,
+        head: HeadKind,
         gamma: f32,
         arena: ParamArena,
     ) -> FrozenModel {
         FrozenModel {
             schema: schema.clone(),
-            sequential,
+            head,
             gamma,
             embed_dim: cfg.embed_dim,
             gru_hidden: cfg.gru_hidden,
@@ -453,18 +472,19 @@ impl FrozenModel {
             named(uae.attention_params()),
             named(uae.propensity_params()),
         ]);
-        FrozenModel::with_arena(schema, uae.config(), uae.is_sequential(), gamma, arena)
+        FrozenModel::with_arena(schema, uae.config(), uae.head_kind(), gamma, arena)
     }
 
     /// Derives a frozen model from a `.uaec` training checkpoint written by
     /// [`Uae::fit_supervised`] (arena 0 = Θ_g, arena 1 = Θ_h). The
     /// architecture cannot be recovered from the checkpoint alone, so the
-    /// caller supplies the schema and config it trained with.
+    /// caller supplies the schema, config and propensity head it trained
+    /// with.
     pub fn from_checkpoint(
         snap: &TrainSnapshot,
         schema: &FeatureSchema,
         cfg: &UaeConfig,
-        sequential: bool,
+        head: HeadKind,
         gamma: f32,
     ) -> Result<FrozenModel, UaeError> {
         let decoded = |i: usize| {
@@ -482,9 +502,7 @@ impl FrozenModel {
                 .map(|p| (p.name.as_str(), &p.value))
                 .collect::<Vec<_>>()
         }));
-        Ok(FrozenModel::with_arena(
-            schema, cfg, sequential, gamma, arena,
-        ))
+        Ok(FrozenModel::with_arena(schema, cfg, head, gamma, arena))
     }
 
     /// Attaches a named extra blob (e.g. a downstream recommender arena).
@@ -526,7 +544,7 @@ impl FrozenModel {
             hash_k: self.hash_k,
             ..UaeConfig::default()
         };
-        Uae::bind(&self.schema, cfg, self.sequential, |params, table| {
+        Uae::bind(&self.schema, cfg, self.head, |params, table| {
             load_mapped(params, &self.arena, table)
         })
     }
@@ -536,11 +554,7 @@ impl FrozenModel {
     /// 16-byte-aligned absolute arena offset, then the raw little-endian
     /// `f32` arena.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = put_header(if self.sequential {
-            VARIANT_SEQUENTIAL
-        } else {
-            VARIANT_LOCAL
-        });
+        let mut w = put_header(head_byte(self.head));
         w.put_f32(self.gamma);
         put_schema(&mut w, &self.schema);
         // Architecture.
@@ -570,28 +584,24 @@ impl FrozenModel {
         FrozenModel::load(copy_bytes(bytes))
     }
 
-    /// The one loader: parses a `.uaem` region of variant 0 or 1.
+    /// The one loader: parses a `.uaem` region whose variant byte names a
+    /// propensity head.
     fn load(region: Arc<MmapRegion>) -> Result<FrozenModel, UaeError> {
         let (mut r, variant) = check_header(region.bytes())?;
-        FrozenModel::parse(&mut r, variant, &region).map_err(UaeError::Checkpoint)
+        byte_head(variant)
+            .ok_or(CheckpointError::Corrupt(
+                "not a UAE-model variant byte; sniff any artifact with FrozenArtifact",
+            ))
+            .and_then(|head| FrozenModel::parse(&mut r, head, &region))
+            .map_err(UaeError::Checkpoint)
     }
 
     /// Parses the body after the variant byte against `region`.
     pub(crate) fn parse(
         r: &mut ByteReader,
-        variant: u8,
+        head: HeadKind,
         region: &Arc<MmapRegion>,
     ) -> Result<FrozenModel, CheckpointError> {
-        let sequential = match variant {
-            VARIANT_SEQUENTIAL => true,
-            VARIANT_LOCAL => false,
-            VARIANT_RECOMMENDER => {
-                return Err(CheckpointError::Corrupt(
-                    "downstream-recommender artifact; decode via FrozenArtifact",
-                ))
-            }
-            _ => return Err(CheckpointError::Corrupt("bad artifact-variant tag")),
-        };
         let gamma = r.get_f32()?;
         let schema = get_schema(r)?;
         let embed_dim = r.get_u32()? as usize;
@@ -613,7 +623,7 @@ impl FrozenModel {
         }
         Ok(FrozenModel {
             schema,
-            sequential,
+            head,
             gamma,
             embed_dim,
             gru_hidden,
@@ -632,7 +642,7 @@ impl FrozenModel {
     /// first touch, independent of model size.
     ///
     /// ```
-    /// use uae_core::{Uae, UaeConfig};
+    /// use uae_core::{HeadKind, Uae, UaeConfig};
     /// use uae_data::{generate, SimConfig};
     /// use uae_serve::FrozenModel;
     ///
@@ -647,7 +657,7 @@ impl FrozenModel {
     ///
     /// let frozen = FrozenModel::open(&path)?; // weights stay in the page cache
     /// let rebuilt = frozen.build()?;          // matrices point into the mapping
-    /// assert!(rebuilt.is_sequential());
+    /// assert_eq!(rebuilt.head_kind(), HeadKind::Sequential);
     /// # std::fs::remove_dir_all(&dir).unwrap();
     /// # Ok::<(), uae_runtime::UaeError>(())
     /// ```
@@ -729,8 +739,14 @@ mod tests {
             &uae_tensor::Rng::seed_from_u64(0),
             Vec::new(),
         );
-        let frozen =
-            FrozenModel::from_checkpoint(&snap, &ds.schema, uae.config(), true, 15.0).unwrap();
+        let frozen = FrozenModel::from_checkpoint(
+            &snap,
+            &ds.schema,
+            uae.config(),
+            HeadKind::Sequential,
+            15.0,
+        )
+        .unwrap();
         assert_eq!(frozen, FrozenModel::from_uae(&uae, &ds.schema, 15.0));
     }
 

@@ -25,8 +25,8 @@ use uae_runtime::UaeError;
 use uae_tensor::{sigmoid, MmapRegion, Params};
 
 use crate::model::{
-    cat_rows, check_header, check_plausible, copy_bytes, copy_file, get_schema, load_mapped, named,
-    put_header, put_schema, ParamArena, VARIANT_RECOMMENDER,
+    byte_head, cat_rows, check_header, check_plausible, copy_bytes, copy_file, get_schema,
+    load_mapped, named, put_header, put_schema, ParamArena, VARIANT_RECOMMENDER,
 };
 use crate::FrozenModel;
 
@@ -217,7 +217,8 @@ impl FrozenRecommender {
 /// `score` CLI, which accepts either).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FrozenArtifact {
-    /// Variant 0/1: the attention/propensity model ([`FrozenModel`]).
+    /// Variants 0, 1 and 3: the attention/propensity model
+    /// ([`FrozenModel`]), one byte per propensity head.
     Uae(FrozenModel),
     /// Variant 2: a Table-IV downstream recommender.
     Recommender(FrozenRecommender),
@@ -237,10 +238,12 @@ impl FrozenArtifact {
     /// Sniffs the variant byte once and parses that variant's body.
     fn load(region: Arc<MmapRegion>) -> Result<FrozenArtifact, UaeError> {
         let (mut r, variant) = check_header(region.bytes())?;
-        let artifact = if variant == VARIANT_RECOMMENDER {
-            FrozenRecommender::parse(&mut r, &region).map(FrozenArtifact::Recommender)
-        } else {
-            FrozenModel::parse(&mut r, variant, &region).map(FrozenArtifact::Uae)
+        let artifact = match byte_head(variant) {
+            Some(head) => FrozenModel::parse(&mut r, head, &region).map(FrozenArtifact::Uae),
+            None if variant == VARIANT_RECOMMENDER => {
+                FrozenRecommender::parse(&mut r, &region).map(FrozenArtifact::Recommender)
+            }
+            None => Err(CheckpointError::Corrupt("bad artifact-variant tag")),
         };
         artifact.map_err(UaeError::Checkpoint)
     }

@@ -46,26 +46,21 @@ impl Default for ScorerConfig {
 }
 
 impl ScorerConfig {
-    /// Reads `UAE_SERVE_BATCH` / `UAE_SERVE_MAX_LEN` over the defaults.
-    /// Unparsable or zero values fall back to the default (serving knobs
-    /// must never turn a request into a panic).
+    /// Reads `UAE_SERVE_BATCH` / `UAE_SERVE_MAX_LEN` over the defaults —
+    /// the one place either knob is parsed (the daemon reads both through
+    /// here). A value counts when it is a trimmed number above zero;
+    /// anything else keeps the default (serving knobs must never turn a
+    /// request into a panic).
     pub fn from_env() -> ScorerConfig {
-        let mut cfg = ScorerConfig::default();
-        if let Ok(v) = std::env::var("UAE_SERVE_BATCH") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    cfg.batch_size = n;
-                }
-            }
+        let num = |key: &str| {
+            let v = std::env::var(key).ok()?;
+            v.trim().parse::<usize>().ok().filter(|&n| n > 0)
+        };
+        let default = ScorerConfig::default();
+        ScorerConfig {
+            batch_size: num("UAE_SERVE_BATCH").unwrap_or(default.batch_size),
+            max_len: num("UAE_SERVE_MAX_LEN").or(default.max_len),
         }
-        if let Ok(v) = std::env::var("UAE_SERVE_MAX_LEN") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    cfg.max_len = Some(n);
-                }
-            }
-        }
-        cfg
     }
 }
 

@@ -7,17 +7,23 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use uae_core::{Uae, UaeConfig};
+use uae_core::{EstimatorSpec, HeadKind, Uae, UaeConfig};
 use uae_data::{generate, SimConfig};
 use uae_models::{ModelConfig, ModelKind};
+use uae_runtime::checkpoint::CheckpointError;
 use uae_runtime::UaeError;
 use uae_serve::{FrozenArtifact, FrozenModel, FrozenRecommender};
 
 fn tiny_uae() -> (uae_data::Dataset, Uae) {
+    tiny_uae_with(EstimatorSpec::UaeDual)
+}
+
+fn tiny_uae_with(estimator: EstimatorSpec) -> (uae_data::Dataset, Uae) {
     let ds = generate(&SimConfig::tiny(), 41);
     let cfg = UaeConfig {
         gru_hidden: 4,
         mlp_hidden: vec![4],
+        estimator,
         ..UaeConfig::default()
     };
     let uae = Uae::new(&ds.schema, cfg);
@@ -47,6 +53,20 @@ fn tiny_artifact() -> Vec<u8> {
     tiny_frozen().encode()
 }
 
+/// A no-head artifact (variant byte 3): a single-network PN model.
+fn tiny_no_head_artifact() -> Vec<u8> {
+    let (ds, uae) = tiny_uae_with(EstimatorSpec::Pn);
+    FrozenModel::from_uae(&uae, &ds.schema, 15.0).encode()
+}
+
+/// The sequential-head and the no-head artifact, named.
+fn head_artifacts() -> [(&'static str, Vec<u8>); 2] {
+    [
+        ("sequential", tiny_artifact()),
+        ("no-head", tiny_no_head_artifact()),
+    ]
+}
+
 /// Decode must return `Result`, not unwind, for arbitrary input.
 fn decode_never_panics(bytes: &[u8]) -> Option<Result<FrozenModel, UaeError>> {
     catch_unwind(AssertUnwindSafe(|| FrozenModel::decode(bytes))).ok()
@@ -54,39 +74,45 @@ fn decode_never_panics(bytes: &[u8]) -> Option<Result<FrozenModel, UaeError>> {
 
 #[test]
 fn every_truncation_is_a_typed_error() {
-    let bytes = tiny_artifact();
-    assert!(FrozenModel::decode(&bytes).is_ok(), "baseline must decode");
-    for cut in 0..bytes.len() {
-        match decode_never_panics(&bytes[..cut]) {
-            Some(Err(UaeError::Checkpoint(_))) => {}
-            Some(Err(other)) => panic!("cut={cut}: unexpected error kind {other:?}"),
-            Some(Ok(_)) => panic!("cut={cut}: truncated artifact decoded successfully"),
-            None => panic!("cut={cut}: decode panicked"),
+    for (head, bytes) in head_artifacts() {
+        assert!(
+            FrozenModel::decode(&bytes).is_ok(),
+            "{head}: baseline must decode"
+        );
+        for cut in 0..bytes.len() {
+            match decode_never_panics(&bytes[..cut]) {
+                Some(Err(UaeError::Checkpoint(_))) => {}
+                Some(Err(other)) => panic!("{head} cut={cut}: unexpected error kind {other:?}"),
+                Some(Ok(_)) => panic!("{head} cut={cut}: truncated artifact decoded successfully"),
+                None => panic!("{head} cut={cut}: decode panicked"),
+            }
         }
     }
 }
 
 #[test]
 fn single_byte_flips_never_panic_decode_or_build() {
-    let bytes = tiny_artifact();
-    // Dense sweep over the header/schema region, strided sweep over the
-    // parameter arenas (any arena byte is legal f32 payload, so most flips
-    // there still decode — the contract is no panic, in decode OR build).
-    let positions: Vec<usize> = (0..64.min(bytes.len()))
-        .chain((64..bytes.len()).step_by(37))
-        .collect();
-    for pos in positions {
-        let mut mutated = bytes.clone();
-        mutated[pos] ^= 0xFF;
-        match decode_never_panics(&mutated) {
-            Some(Err(UaeError::Checkpoint(_))) => {}
-            Some(Err(other)) => panic!("pos={pos}: unexpected error kind {other:?}"),
-            Some(Ok(frozen)) => {
-                // The container survived; rebuilding must stay typed too.
-                let built = catch_unwind(AssertUnwindSafe(|| frozen.build()));
-                assert!(built.is_ok(), "pos={pos}: build() panicked");
+    for (head, bytes) in head_artifacts() {
+        // Dense sweep over the header/schema region, strided sweep over the
+        // parameter arenas (any arena byte is legal f32 payload, so most
+        // flips there still decode — the contract is no panic, in decode OR
+        // build).
+        let positions: Vec<usize> = (0..64.min(bytes.len()))
+            .chain((64..bytes.len()).step_by(37))
+            .collect();
+        for pos in positions {
+            let mut mutated = bytes.clone();
+            mutated[pos] ^= 0xFF;
+            match decode_never_panics(&mutated) {
+                Some(Err(UaeError::Checkpoint(_))) => {}
+                Some(Err(other)) => panic!("{head} pos={pos}: unexpected error kind {other:?}"),
+                Some(Ok(frozen)) => {
+                    // The container survived; rebuilding must stay typed too.
+                    let built = catch_unwind(AssertUnwindSafe(|| frozen.build()));
+                    assert!(built.is_ok(), "{head} pos={pos}: build() panicked");
+                }
+                None => panic!("{head} pos={pos}: decode panicked"),
             }
-            None => panic!("pos={pos}: decode panicked"),
         }
     }
 }
@@ -178,15 +204,28 @@ fn wrong_variant_bytes_are_rejected_with_guidance() {
         }
         other => panic!("{other:?}"),
     }
-    // An unknown variant is flat-out corrupt.
-    let mut junk = bytes.clone();
-    junk[variant_pos] = 99;
-    match FrozenModel::decode(&junk) {
-        Err(UaeError::Checkpoint(_)) => {}
+    // Variant 3 is a model without a propensity head: the sniffing
+    // decoder hands it to FrozenModel.
+    let no_head = tiny_no_head_artifact();
+    assert_eq!(no_head[variant_pos], 3, "layout drifted; update this test");
+    match FrozenArtifact::decode(&no_head) {
+        Ok(FrozenArtifact::Uae(frozen)) => assert_eq!(frozen.head, HeadKind::None),
         other => panic!("{other:?}"),
     }
-    // The sniffing decoder rejects it the same way.
-    assert!(FrozenArtifact::decode(&junk).is_err());
+    // Every variant from 4 up is flat-out corrupt, through both decoders.
+    for variant in 4..=u8::MAX {
+        let mut junk = bytes.clone();
+        junk[variant_pos] = variant;
+        let corrupt = |e| matches!(e, UaeError::Checkpoint(CheckpointError::Corrupt(_)));
+        assert!(
+            FrozenModel::decode(&junk).is_err_and(corrupt),
+            "variant {variant}"
+        );
+        assert!(
+            FrozenArtifact::decode(&junk).is_err_and(corrupt),
+            "variant {variant}"
+        );
+    }
 }
 
 #[test]

@@ -13,19 +13,20 @@ use crate::mmap::MmapRegion;
 use crate::rng::Rng;
 
 /// Backing storage for a [`Matrix`]: a pooled heap buffer, a bump-allocated
-/// lease from the per-batch inference arena (see [`crate::arena`]), a
-/// shared reference-counted buffer for frozen serving weights (see
-/// [`Matrix::freeze`]), or a window into a memory-mapped artifact file (see
-/// [`Matrix::from_mmap`]). Which one a matrix gets is decided once, in
-/// [`Matrix::uninit`], [`Matrix::freeze`] or [`Matrix::from_mmap`];
-/// everything else sees a plain `[f32]` through `Deref`.
+/// lease from the per-batch inference arena (see [`crate::arena`]), or a
+/// read-only window into a shared [`MmapRegion`]: a memory-mapped artifact
+/// file ([`Matrix::from_mmap`]) or the aligned heap region a frozen matrix
+/// lays its values into ([`Matrix::freeze`]). Which one a matrix gets is
+/// decided once, in [`Matrix::uninit`], [`Matrix::freeze`] or
+/// [`Matrix::from_mmap`]; everything else sees a plain `[f32]` through
+/// `Deref`.
 pub(crate) enum Store {
     Heap(Vec<f32>),
     Arena(arena::Lease),
-    Shared(Arc<Vec<f32>>),
-    /// `len` f32s starting `offset` bytes into a mapped file. The offset is
-    /// 16-byte-aligned against a page-aligned base, so the pointer cast in
-    /// `deref` is always in-bounds and aligned.
+    /// `len` f32s starting `offset` bytes into a shared, immutable region.
+    /// The offset is 16-byte-aligned against a 16-byte-aligned base, so the
+    /// pointer cast in `deref` is always in-bounds and aligned. Clones share
+    /// the region; the first mutable access copies-on-write.
     Mapped {
         region: Arc<MmapRegion>,
         offset: usize,
@@ -46,15 +47,15 @@ impl std::ops::Deref for Store {
         match self {
             Store::Heap(v) => v,
             Store::Arena(l) => l.slice(),
-            Store::Shared(a) => a,
             Store::Mapped {
                 region,
                 offset,
                 len,
             } => unsafe {
-                // Bounds and 16-byte alignment were validated in
-                // `Matrix::from_mmap`; the region is immutable and outlives
-                // this store via the Arc.
+                // SAFETY: bounds and 16-byte alignment were validated in
+                // `Matrix::from_mmap`, which `Matrix::freeze` also builds
+                // through; the region is immutable and outlives this store
+                // via the Arc.
                 std::slice::from_raw_parts(region.bytes().as_ptr().add(*offset) as *const f32, *len)
             },
         }
@@ -64,7 +65,7 @@ impl std::ops::Deref for Store {
 impl std::ops::DerefMut for Store {
     #[inline]
     fn deref_mut(&mut self) -> &mut [f32] {
-        if matches!(self, Store::Shared(_) | Store::Mapped { .. }) {
+        if matches!(self, Store::Mapped { .. }) {
             // Copy-on-write: the first mutable access to a frozen or mapped
             // buffer materializes a private heap copy, so mutation can never
             // be observed through the other handles (or write to the map).
@@ -79,9 +80,7 @@ impl std::ops::DerefMut for Store {
         match self {
             Store::Heap(v) => v,
             Store::Arena(l) => l.slice_mut(),
-            Store::Shared(_) | Store::Mapped { .. } => {
-                unreachable!("shared store survived copy-on-write")
-            }
+            Store::Mapped { .. } => unreachable!("shared store survived copy-on-write"),
         }
     }
 }
@@ -125,32 +124,23 @@ impl PartialEq for Matrix {
 
 impl Clone for Matrix {
     fn clone(&self) -> Self {
-        match &self.data {
-            // Frozen weights clone as O(1) handle copies (no data movement).
-            Store::Shared(a) => {
-                return Matrix {
-                    rows: self.rows,
-                    cols: self.cols,
-                    data: Store::Shared(Arc::clone(a)),
-                }
-            }
-            // Mapped weights likewise: cloning bumps the region refcount.
-            Store::Mapped {
-                region,
-                offset,
-                len,
-            } => {
-                return Matrix {
-                    rows: self.rows,
-                    cols: self.cols,
-                    data: Store::Mapped {
-                        region: Arc::clone(region),
-                        offset: *offset,
-                        len: *len,
-                    },
-                }
-            }
-            _ => {}
+        // Frozen and mapped weights clone as O(1) handle copies: cloning
+        // bumps the region refcount, no data moves.
+        if let Store::Mapped {
+            region,
+            offset,
+            len,
+        } = &self.data
+        {
+            return Matrix {
+                rows: self.rows,
+                cols: self.cols,
+                data: Store::Mapped {
+                    region: Arc::clone(region),
+                    offset: *offset,
+                    len: *len,
+                },
+            };
         }
         let mut out = Matrix::uninit(self.rows, self.cols);
         out.data.copy_from_slice(&self.data);
@@ -158,9 +148,7 @@ impl Clone for Matrix {
     }
 
     fn clone_from(&mut self, source: &Self) {
-        if matches!(source.data, Store::Shared(_) | Store::Mapped { .. })
-            || self.data.len() != source.data.len()
-        {
+        if matches!(source.data, Store::Mapped { .. }) || self.data.len() != source.data.len() {
             *self = source.clone();
         } else {
             self.rows = source.rows;
@@ -175,7 +163,6 @@ impl Drop for Matrix {
         match std::mem::take(&mut self.data) {
             Store::Heap(v) => backend::recycle(v),
             Store::Arena(lease) => drop(lease),
-            Store::Shared(handle) => drop(handle),
             Store::Mapped { region, .. } => drop(region),
         }
     }
@@ -300,30 +287,35 @@ impl Matrix {
         self.data.is_empty()
     }
 
-    /// Converts the backing store to a shared, reference-counted buffer so
-    /// later `clone()`s are O(1) handle copies instead of deep copies. A
-    /// frozen matrix is still mutable: the first mutable access quietly
-    /// copies-on-write back to a private heap buffer. The serving scorers
-    /// freeze their parameters once at construction so `ValueExec::param`
-    /// stops memcpy-ing every weight matrix on every batch.
+    /// Lays the values into a fresh 16-byte-aligned heap [`MmapRegion`] and
+    /// points the matrix at it, the same read-only shared store a mapped
+    /// artifact gives, so later `clone()`s are O(1) handle copies instead of
+    /// deep copies. A frozen matrix is still mutable: the first mutable
+    /// access quietly copies-on-write back to a private heap buffer.
+    /// Freezing a parameter set once (see [`crate::Params::freeze`]) stops
+    /// `ValueExec::param` from memcpy-ing every weight matrix on every
+    /// batch.
     pub fn freeze(&mut self) {
         // Mapped matrices are already zero-copy-cloneable; freezing them
-        // onto the heap would defeat the mmap.
-        if matches!(self.data, Store::Shared(_) | Store::Mapped { .. }) {
+        // again would only copy the region.
+        if self.is_shared() {
             return;
         }
-        let shared = Arc::new(self.data.to_vec());
-        match std::mem::replace(&mut self.data, Store::Shared(shared)) {
-            Store::Heap(v) => backend::recycle(v),
-            other => drop(other),
-        }
+        let region = MmapRegion::heap(self.len() * 4, |buf| {
+            for (dst, x) in buf.chunks_exact_mut(4).zip(self.data()) {
+                dst.copy_from_slice(&x.to_ne_bytes());
+            }
+        });
+        // Dropping the old store returns a heap buffer to the pool.
+        *self = Matrix::from_mmap(Arc::new(region), 0, self.rows, self.cols)
+            .expect("a fresh aligned region holds the whole matrix");
     }
 
-    /// Whether the backing store is a shared (frozen) or memory-mapped
-    /// buffer, i.e. `clone()` is an O(1) handle copy.
+    /// Whether the backing store is a shared (frozen or memory-mapped)
+    /// region, i.e. `clone()` is an O(1) handle copy.
     #[inline]
     pub fn is_shared(&self) -> bool {
-        matches!(self.data, Store::Shared(_) | Store::Mapped { .. })
+        matches!(self.data, Store::Mapped { .. })
     }
 
     /// Builds a matrix whose data is a pointer-cast view into `region` at

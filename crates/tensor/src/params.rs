@@ -175,11 +175,11 @@ impl Params {
             .expect("parameter has no value: call Params::init or Params::bind")
     }
 
-    /// Freezes every parameter value into a shared, reference-counted
-    /// buffer (see [`Matrix::freeze`]): the clones handed out by the
-    /// tape-free engine's `param` become O(1) handle copies instead of
-    /// per-batch memcpys. Serving scorers call this once at construction.
-    /// Training after freezing still works — mutation copies-on-write.
+    /// Freezes every parameter value into a shared, read-only region (see
+    /// [`Matrix::freeze`]): the clones handed out by the tape-free engine's
+    /// `param` become O(1) handle copies instead of per-batch memcpys, as
+    /// they already are for values bound to a `.uaem` arena. Training after
+    /// freezing still works — mutation copies-on-write.
     pub fn freeze(&mut self) {
         for v in &mut self.values {
             v.freeze();
