@@ -56,6 +56,10 @@ for nt in 1 4; do
     # on this gate.
     UAE_NUM_THREADS=$nt cargo test -q -p uae-core --test refactor_identity
     UAE_NUM_THREADS=$nt cargo test -q --test exec_equivalence
+    # Resume and rollback must be bit-identical at every thread count: the
+    # recovery protocol's behaviour and its pinned checkpoint/rollback bytes.
+    UAE_NUM_THREADS=$nt cargo test -q --test fault_tolerance
+    UAE_NUM_THREADS=$nt cargo test -q --test recovery_identity
     # Daemon integration suite (includes hot-reload determinism: scores
     # must be bit-identical across a generation swap under load).
     UAE_NUM_THREADS=$nt cargo test -q -p uae-serve --test daemon
@@ -71,6 +75,7 @@ if [ "$(uname -m)" = x86_64 ]; then
         export RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64-baseline
         for nt in 1 4; do
             UAE_NUM_THREADS=$nt cargo test -q -p uae-core --test refactor_identity
+            UAE_NUM_THREADS=$nt cargo test -q --test recovery_identity
             UAE_NUM_THREADS=$nt cargo test -q --test exec_equivalence
             UAE_NUM_THREADS=$nt cargo test -q -p uae-tensor --test parallel_determinism
         done

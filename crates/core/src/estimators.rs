@@ -212,12 +212,6 @@ pub trait RiskEstimator: Send + Sync {
     fn prepare(&mut self, dataset: &Dataset, sessions: &[usize]) {
         let _ = (dataset, sessions);
     }
-
-    /// Called after each outer epoch of the alternating optimization —
-    /// annealing schedules hook in here.
-    fn on_epoch(&mut self, epoch: usize) {
-        let _ = epoch;
-    }
 }
 
 fn zero_grid(batch: &SeqBatch) -> WeightGrid {

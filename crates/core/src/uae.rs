@@ -1,13 +1,14 @@
 //! UAE: the Unbiased Attention Estimator with alternating optimization
 //! (Algorithm 1 of the paper).
 
+use std::ops::ControlFlow;
 use std::sync::mpsc;
 
 use uae_data::{infer_seq_batches, seq_batches, Dataset, SeqBatch};
 use uae_nn::{Adam, Optimizer};
 use uae_runtime::checkpoint::{ByteReader, ByteWriter, CheckpointError, TrainSnapshot};
 use uae_runtime::sentinel::{self, Anomaly};
-use uae_runtime::supervisor::{Recovery, Supervisor};
+use uae_runtime::supervisor::{Supervisor, TrainState};
 use uae_runtime::UaeError;
 use uae_tensor::{sigmoid, Exec, Matrix, Params, Rng, Tape, ValueExec, Var};
 
@@ -608,39 +609,15 @@ impl Uae {
         &self.params_h
     }
 
-    /// Restores both arenas, both optimizers, the RNG, and the fit
-    /// bookkeeping from a snapshot.
-    fn restore_fit_snapshot(
-        &mut self,
-        snap: &TrainSnapshot,
-        opt_g: &mut Adam,
-        opt_h: &mut Adam,
-        rng: &mut Rng,
-        report: &mut FitReport,
-        order: &mut Vec<usize>,
-    ) -> Result<(), UaeError> {
-        snap.restore_arena(0, &mut self.params_g)?;
-        snap.restore_arena(1, &mut self.params_h)?;
-        let missing = CheckpointError::Corrupt("missing optimizer state");
-        opt_g.restore(snap.optimizers.first().cloned().ok_or(missing.clone())?);
-        opt_h.restore(snap.optimizers.get(1).cloned().ok_or(missing)?);
-        rng.restore(snap.rng);
-        let bk = FitBookkeeping::decode(&snap.extra)?;
-        report.attention_loss = bk.attention_loss;
-        report.propensity_loss = bk.propensity_loss;
-        *order = bk.order;
-        self.cfg.grad_clip = bk.grad_clip;
-        Ok(())
-    }
-
-    /// Algorithm 1 under a fault-tolerant [`Supervisor`]: the alternating
-    /// loop checkpoints both networks (and both Adam states, the RNG, the
-    /// batch-order permutation, and the loss history) at the supervisor's
-    /// cadence, guards every attention/propensity step with finiteness
-    /// sentinels, and on anomaly rolls back to the last good checkpoint with
-    /// both learning rates halved and `grad_clip` tightened, retrying within
-    /// a bounded budget before failing with
-    /// [`UaeError::NumericalDivergence`].
+    /// Algorithm 1 under a fault-tolerant [`Supervisor`]: the epochs run
+    /// under [`Supervisor::run`], the one recovery protocol. With an enabled
+    /// supervisor every attention/propensity step is guarded by the loss and
+    /// gradient sentinels, and after every epoch the supervisor checks both
+    /// networks and checkpoints them (with both Adam states, the RNG, the
+    /// batch-order permutation, and the loss history). On anomaly it rolls
+    /// back to the last good checkpoint with both learning rates halved and
+    /// `grad_clip` tightened, retrying within a bounded budget before
+    /// failing with [`UaeError::NumericalDivergence`].
     ///
     /// Resuming from a mid-run snapshot (via [`Supervisor::with_resume`]) is
     /// bit-identical to an uninterrupted run.
@@ -687,207 +664,126 @@ impl Uae {
             self.cfg.max_len,
             &mut rng,
         );
-        let mut opt_g = Adam::new(self.cfg.lr_attention);
-        let mut opt_h = Adam::new(self.cfg.lr_propensity);
-        let mut report = FitReport::default();
-        let mut order: Vec<usize> = (0..batches.len()).collect();
-        let mut start_epoch = 0usize;
-        let mut step = 0u64;
-
-        if let Some(snap) = sup.take_resume() {
-            self.restore_fit_snapshot(
-                &snap,
-                &mut opt_g,
-                &mut opt_h,
-                &mut rng,
-                &mut report,
-                &mut order,
-            )?;
-            start_epoch = snap.epoch as usize;
-            step = snap.step;
-        }
-
+        let epochs = self.cfg.epochs;
+        let mut fit = FitState {
+            opt_g: Adam::new(self.cfg.lr_attention),
+            opt_h: Adam::new(self.cfg.lr_propensity),
+            uae: self,
+            rng,
+            report: FitReport::default(),
+            order: (0..batches.len()).collect(),
+        };
+        let guard = sup.enabled();
         // One tape reused for every step of the alternating optimization;
         // cleared per step so buffers cycle through the scratch pool.
         let mut tape = Tape::new();
-        'run: loop {
-            // Rollback mutates `start_epoch` and re-enters via `continue 'run`,
-            // which is exactly when the new bound takes effect.
-            #[allow(clippy::mut_range_bound)]
-            for epoch in start_epoch..self.cfg.epochs {
-                let mut att = PhaseTally::default();
-                let mut pro = PhaseTally::default();
-                let mut anomaly: Option<Anomaly> = None;
-                'phases: {
-                    // Phase 1: attention risk minimizer (lines 3–7).
-                    uae_obs::emit(|| uae_obs::Event::PhaseStart {
-                        name: "attention".into(),
-                        epoch: epoch as u64,
-                    });
-                    let phase_start = std::time::Instant::now();
-                    for _ in 0..att_passes {
-                        rng.shuffle(&mut order);
-                        for &bi in &order {
-                            match self.attention_step(
-                                &mut tape,
-                                &batches[bi],
-                                &mut opt_g,
-                                sup.enabled(),
-                                &mut att.clip,
-                            ) {
-                                Ok(v) => {
-                                    att.loss += v;
-                                    att.steps += 1;
-                                    step += 1;
-                                }
-                                Err(a) => {
-                                    anomaly = Some(a);
-                                    break 'phases;
-                                }
-                            }
-                        }
-                    }
-                    uae_obs::emit(|| uae_obs::Event::PhaseEnd {
-                        name: "attention".into(),
-                        epoch: epoch as u64,
-                        steps: att.steps as u64,
-                        mean_risk: att.loss / att.steps.max(1) as f64,
-                        micros: phase_start.elapsed().as_micros() as u64,
-                    });
-                    // Phase 2: propensity risk minimizer (lines 8–12) —
-                    // models with a propensity head only.
-                    if pro_passes > 0 {
-                        uae_obs::emit(|| uae_obs::Event::PhaseStart {
-                            name: "propensity".into(),
-                            epoch: epoch as u64,
-                        });
-                        let phase_start = std::time::Instant::now();
-                        // Only the shuffles draw from `rng`, so all passes'
-                        // orders are drawn up front; a rollback restores
-                        // `rng` and `order` from the snapshot anyway.
-                        let mut seq = Vec::with_capacity(pro_passes * order.len());
-                        for _ in 0..pro_passes {
-                            rng.shuffle(&mut order);
-                            seq.extend_from_slice(&order);
-                        }
-                        let result = self.propensity_phase(
-                            &batches,
-                            &seq,
-                            &mut tape,
-                            &mut opt_h,
-                            sup.enabled(),
-                            &mut pro,
-                        );
-                        step += pro.steps as u64;
-                        if let Err(a) = result {
-                            anomaly = Some(a);
-                            break 'phases;
-                        }
-                        uae_obs::emit(|| uae_obs::Event::PhaseEnd {
-                            name: "propensity".into(),
-                            epoch: epoch as u64,
-                            steps: pro.steps as u64,
-                            mean_risk: pro.loss / pro.steps.max(1) as f64,
-                            micros: phase_start.elapsed().as_micros() as u64,
-                        });
-                        uae_obs::emit(|| uae_obs::Event::Gauge {
-                            name: "fit.propensity_g_wait_ms".into(),
-                            value: pro.g_wait.as_secs_f64() * 1e3,
-                        });
-                    }
-                }
-                // Sentinel 3: never accept a checkpoint with poisoned arenas.
-                if anomaly.is_none() && sup.enabled() && sup.should_checkpoint(epoch) {
-                    anomaly = sentinel::check_params(&self.params_g)
-                        .and_then(|()| sentinel::check_params(&self.params_h))
-                        .err();
-                }
-                if let Some(a) = anomaly {
-                    match sup.on_anomaly(epoch, step as usize, &a) {
-                        Recovery::Rollback {
-                            snapshot,
-                            lr_scale,
-                            clip_scale,
-                        } => {
-                            self.restore_fit_snapshot(
-                                &snapshot,
-                                &mut opt_g,
-                                &mut opt_h,
-                                &mut rng,
-                                &mut report,
-                                &mut order,
-                            )?;
-                            opt_g.set_learning_rate(opt_g.learning_rate() * lr_scale);
-                            opt_h.set_learning_rate(opt_h.learning_rate() * lr_scale);
-                            self.cfg.grad_clip = Some(
-                                (self.cfg.grad_clip.unwrap_or(EMERGENCY_CLIP) * clip_scale)
-                                    .max(MIN_CLIP),
-                            );
-                            start_epoch = snapshot.epoch as usize;
-                            step = snapshot.step;
-                            continue 'run;
-                        }
-                        Recovery::Abort(e) => return Err(e),
-                    }
-                }
-                self.estimator.on_epoch(epoch);
-                let att_risk = att.loss / att.steps.max(1) as f64;
-                let pro_risk = pro.loss / pro.steps.max(1) as f64;
-                report.attention_loss.push(att_risk);
-                report.propensity_loss.push(pro_risk);
-                uae_obs::emit(|| uae_obs::Event::FitEpoch {
-                    epoch: epoch as u64,
-                    attention_risk: att_risk,
-                    propensity_risk: pro_risk,
-                    propensity_clip_rate: att.clip.rate(),
-                    attention_clip_rate: pro.clip.rate(),
-                });
-                // Per-estimator telemetry (`estimator.<name>.*`) — what
-                // `uae summarize` renders into the estimator table.
-                uae_obs::emit(|| uae_obs::Event::Gauge {
-                    name: format!("estimator.{est_tag}.attention_risk"),
-                    value: att_risk,
-                });
-                uae_obs::emit(|| uae_obs::Event::Gauge {
-                    name: format!("estimator.{est_tag}.clip_rate.attention"),
-                    value: att.clip.rate(),
-                });
-                if dual {
-                    uae_obs::emit(|| uae_obs::Event::Gauge {
-                        name: format!("estimator.{est_tag}.propensity_risk"),
-                        value: pro_risk,
-                    });
-                    uae_obs::emit(|| uae_obs::Event::Gauge {
-                        name: format!("estimator.{est_tag}.clip_rate.propensity"),
-                        value: pro.clip.rate(),
-                    });
-                }
-                uae_obs::emit(|| uae_obs::Event::Counter {
-                    name: format!("estimator.{est_tag}.epochs"),
-                    value: (epoch + 1) as u64,
-                });
-                uae_tensor::emit_backend_telemetry();
-                if sup.should_checkpoint(epoch) {
-                    let bk = FitBookkeeping {
-                        attention_loss: report.attention_loss.clone(),
-                        propensity_loss: report.propensity_loss.clone(),
-                        order: order.clone(),
-                        grad_clip: self.cfg.grad_clip,
-                    };
-                    let snap = TrainSnapshot::capture(
-                        (epoch + 1) as u64,
-                        step,
-                        &[&self.params_g, &self.params_h],
-                        &[&opt_g, &opt_h],
-                        &rng,
-                        bk.encode(),
-                    );
-                    sup.record(snap)?;
+        sup.run(epochs, &mut fit, |fit, epoch, step| {
+            let mut att = PhaseTally::default();
+            let mut pro = PhaseTally::default();
+            // Phase 1: attention risk minimizer (lines 3–7).
+            uae_obs::emit(|| uae_obs::Event::PhaseStart {
+                name: "attention".into(),
+                epoch: epoch as u64,
+            });
+            let phase_start = std::time::Instant::now();
+            for _ in 0..att_passes {
+                fit.rng.shuffle(&mut fit.order);
+                for &bi in &fit.order {
+                    att.loss += fit.uae.attention_step(
+                        &mut tape,
+                        &batches[bi],
+                        &mut fit.opt_g,
+                        guard,
+                        &mut att.clip,
+                    )?;
+                    att.steps += 1;
+                    *step += 1;
                 }
             }
-            break 'run;
-        }
-        Ok(report)
+            uae_obs::emit(|| uae_obs::Event::PhaseEnd {
+                name: "attention".into(),
+                epoch: epoch as u64,
+                steps: att.steps as u64,
+                mean_risk: att.loss / att.steps.max(1) as f64,
+                micros: phase_start.elapsed().as_micros() as u64,
+            });
+            // Phase 2: propensity risk minimizer (lines 8–12) — models with
+            // a propensity head only.
+            if pro_passes > 0 {
+                uae_obs::emit(|| uae_obs::Event::PhaseStart {
+                    name: "propensity".into(),
+                    epoch: epoch as u64,
+                });
+                let phase_start = std::time::Instant::now();
+                // Only the shuffles draw from `rng`, so all passes' orders
+                // are drawn up front; a rollback restores `rng` and `order`
+                // from the snapshot anyway.
+                let mut seq = Vec::with_capacity(pro_passes * fit.order.len());
+                for _ in 0..pro_passes {
+                    fit.rng.shuffle(&mut fit.order);
+                    seq.extend_from_slice(&fit.order);
+                }
+                let result = fit.uae.propensity_phase(
+                    &batches,
+                    &seq,
+                    &mut tape,
+                    &mut fit.opt_h,
+                    guard,
+                    &mut pro,
+                );
+                *step += pro.steps as u64;
+                result?;
+                uae_obs::emit(|| uae_obs::Event::PhaseEnd {
+                    name: "propensity".into(),
+                    epoch: epoch as u64,
+                    steps: pro.steps as u64,
+                    mean_risk: pro.loss / pro.steps.max(1) as f64,
+                    micros: phase_start.elapsed().as_micros() as u64,
+                });
+                uae_obs::emit(|| uae_obs::Event::Gauge {
+                    name: "fit.propensity_g_wait_ms".into(),
+                    value: pro.g_wait.as_secs_f64() * 1e3,
+                });
+            }
+            let att_risk = att.loss / att.steps.max(1) as f64;
+            let pro_risk = pro.loss / pro.steps.max(1) as f64;
+            fit.report.attention_loss.push(att_risk);
+            fit.report.propensity_loss.push(pro_risk);
+            uae_obs::emit(|| uae_obs::Event::FitEpoch {
+                epoch: epoch as u64,
+                attention_risk: att_risk,
+                propensity_risk: pro_risk,
+                propensity_clip_rate: att.clip.rate(),
+                attention_clip_rate: pro.clip.rate(),
+            });
+            // Per-estimator telemetry (`estimator.<name>.*`) — what
+            // `uae summarize` renders into the estimator table.
+            uae_obs::emit(|| uae_obs::Event::Gauge {
+                name: format!("estimator.{est_tag}.attention_risk"),
+                value: att_risk,
+            });
+            uae_obs::emit(|| uae_obs::Event::Gauge {
+                name: format!("estimator.{est_tag}.clip_rate.attention"),
+                value: att.clip.rate(),
+            });
+            if dual {
+                uae_obs::emit(|| uae_obs::Event::Gauge {
+                    name: format!("estimator.{est_tag}.propensity_risk"),
+                    value: pro_risk,
+                });
+                uae_obs::emit(|| uae_obs::Event::Gauge {
+                    name: format!("estimator.{est_tag}.clip_rate.propensity"),
+                    value: pro.clip.rate(),
+                });
+            }
+            uae_obs::emit(|| uae_obs::Event::Counter {
+                name: format!("estimator.{est_tag}.epochs"),
+                value: (epoch + 1) as u64,
+            });
+            uae_tensor::emit_backend_telemetry();
+            Ok(ControlFlow::Continue(()))
+        })?;
+        Ok(fit.report)
     }
 
     /// Predicted propensities `p̂` per event (flat order) — exposed for the
@@ -934,75 +830,87 @@ pub struct UaeInference {
     pub propensity_logits: Vec<Matrix>,
 }
 
-/// Clip norm switched on when a run configured without clipping diverges.
-const EMERGENCY_CLIP: f32 = 5.0;
-/// Gradient clipping is never tightened below this.
-const MIN_CLIP: f32 = 1e-3;
-
-/// Fit-loop bookkeeping carried inside a checkpoint's `extra` bytes. The
-/// batch-order permutation must be included because `Rng::shuffle` permutes
-/// in place: replaying the shuffles bit-identically requires starting from
-/// the same permutation, not just the same RNG state.
-struct FitBookkeeping {
-    attention_loss: Vec<f64>,
-    propensity_loss: Vec<f64>,
+/// Algorithm 1's mutable state across epochs, and what its checkpoints
+/// hold: both arenas and the clip (through the model), both Adam states,
+/// the RNG, the loss history and the batch-order permutation.
+struct FitState<'a> {
+    uae: &'a mut Uae,
+    opt_g: Adam,
+    opt_h: Adam,
+    rng: Rng,
+    report: FitReport,
+    /// `Rng::shuffle` permutes in place, so replaying the shuffles
+    /// bit-identically requires starting from the same permutation, not
+    /// just the same RNG state.
     order: Vec<usize>,
-    grad_clip: Option<f32>,
 }
 
-impl FitBookkeeping {
-    fn encode(&self) -> Vec<u8> {
+impl TrainState for FitState<'_> {
+    fn arenas(&self) -> Vec<&Params> {
+        vec![&self.uae.params_g, &self.uae.params_h]
+    }
+
+    fn capture(&self, epoch: u64, step: u64) -> TrainSnapshot {
         let mut w = ByteWriter::new();
-        let put_losses = |w: &mut ByteWriter, xs: &[f64]| {
-            w.put_u32(xs.len() as u32);
-            for &x in xs {
+        for losses in [&self.report.attention_loss, &self.report.propensity_loss] {
+            w.put_u32(losses.len() as u32);
+            for &x in losses {
                 w.put_f64(x);
             }
-        };
-        put_losses(&mut w, &self.attention_loss);
-        put_losses(&mut w, &self.propensity_loss);
+        }
         w.put_u32(self.order.len() as u32);
         for &i in &self.order {
             w.put_u32(i as u32);
         }
-        match self.grad_clip {
-            Some(c) => {
-                w.put_bool(true);
-                w.put_f32(c);
-            }
-            None => w.put_bool(false),
-        }
-        w.into_bytes()
+        w.put_opt(self.uae.cfg.grad_clip, ByteWriter::put_f32);
+        let optimizers = [&self.opt_g, &self.opt_h];
+        TrainSnapshot::capture(
+            epoch,
+            step,
+            &self.arenas(),
+            &optimizers,
+            &self.rng,
+            w.into_bytes(),
+        )
     }
 
-    fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = ByteReader::new(bytes);
-        let get_losses = |r: &mut ByteReader| -> Result<Vec<f64>, CheckpointError> {
+    fn restore(&mut self, snap: &TrainSnapshot) -> Result<(), UaeError> {
+        snap.restore_arena(0, &mut self.uae.params_g)?;
+        snap.restore_arena(1, &mut self.uae.params_h)?;
+        let missing = CheckpointError::Corrupt("missing optimizer state");
+        self.opt_g
+            .restore(snap.optimizers.first().cloned().ok_or(missing.clone())?);
+        self.opt_h
+            .restore(snap.optimizers.get(1).cloned().ok_or(missing)?);
+        self.rng.restore(snap.rng);
+        let mut r = ByteReader::new(&snap.extra);
+        for losses in [
+            &mut self.report.attention_loss,
+            &mut self.report.propensity_loss,
+        ] {
             let n = r.get_u32()? as usize;
-            let mut xs = Vec::with_capacity(n.min(4096));
+            *losses = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
-                xs.push(r.get_f64()?);
+                losses.push(r.get_f64()?);
             }
-            Ok(xs)
-        };
-        let attention_loss = get_losses(&mut r)?;
-        let propensity_loss = get_losses(&mut r)?;
-        let n = r.get_u32()? as usize;
-        let mut order = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            order.push(r.get_u32()? as usize);
         }
-        let grad_clip = if r.get_bool()? {
-            Some(r.get_f32()?)
-        } else {
-            None
-        };
-        Ok(FitBookkeeping {
-            attention_loss,
-            propensity_loss,
-            order,
-            grad_clip,
-        })
+        let n = r.get_u32()? as usize;
+        self.order = Vec::with_capacity(n.min(1 << 20));
+        for _ in 0..n {
+            self.order.push(r.get_u32()? as usize);
+        }
+        self.uae.cfg.grad_clip = r.get_opt(ByteReader::get_f32)?;
+        Ok(())
+    }
+
+    fn scale_learning_rates(&mut self, factor: f32) {
+        for opt in [&mut self.opt_g, &mut self.opt_h] {
+            opt.set_learning_rate(opt.learning_rate() * factor);
+        }
+    }
+
+    fn clip_mut(&mut self) -> &mut Option<f32> {
+        &mut self.uae.cfg.grad_clip
     }
 }
 

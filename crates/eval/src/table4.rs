@@ -2,7 +2,7 @@
 //! datasets, reporting AUC, GAUC, RelaImpr and t-test significance.
 
 use uae_metrics::{mean, paired_t_test, rela_impr};
-use uae_models::ModelKind;
+use uae_models::{LabelMode, ModelKind};
 
 use crate::harness::{over_seeds_isolated, prepare, AttentionMethod, HarnessConfig, Preset};
 use crate::table::{pct, rela, starred, TextTable};
@@ -47,66 +47,87 @@ pub struct Table4 {
     pub faults: Vec<String>,
 }
 
-/// Runs the Table IV experiment grid.
+/// Runs the Table IV experiment grid once per label protocol in `modes`,
+/// returning one table per protocol (`cfg.label_mode` is not read).
 ///
 /// For each dataset and seed, UAE is fitted once and its weights are shared
-/// by all seven models (matching the paper: UAE is model-agnostic). Seeds
-/// run on parallel panic-isolated threads; a seed that dies twice is
-/// reported in [`Table4::faults`] and excluded from the aggregates.
-pub fn run_table4(cfg: &HarnessConfig) -> Table4 {
-    let mut table = Table4::default();
+/// by all seven models (matching the paper: UAE is model-agnostic) and by
+/// every protocol (α̂ never reads the labels evaluation uses). Seeds run on
+/// parallel panic-isolated threads; a seed that dies twice is reported in
+/// [`Table4::faults`] and excluded from the aggregates.
+pub fn run_table4(cfg: &HarnessConfig, modes: &[LabelMode]) -> Vec<Table4> {
+    let mut tables = vec![Table4::default(); modes.len()];
+    let cfgs: Vec<HarnessConfig> = modes
+        .iter()
+        .map(|&label_mode| HarnessConfig {
+            label_mode,
+            ..cfg.clone()
+        })
+        .collect();
     let _table_span = uae_obs::span("table4");
     for preset in Preset::both() {
         let _preset_span = uae_obs::span(&format!("table4.{}", preset.name()));
         let data = prepare(preset, cfg);
-        // seed → per-model (base, uae) metrics
+        // seed → per protocol, per model (base, uae) metrics
         let fan = over_seeds_isolated(&cfg.seeds, |seed| {
             let uae_weights = AttentionMethod::Uae
                 .weights(&data, cfg, seed)
                 .expect("UAE produces weights");
-            ModelKind::all()
-                .into_iter()
-                .map(|kind| {
-                    let base = crate::harness::run_model(kind, None, &data, cfg, seed);
-                    let ours =
-                        crate::harness::run_model(kind, Some(&uae_weights), &data, cfg, seed);
-                    (
-                        kind,
-                        base.result.auc,
-                        base.result.gauc,
-                        ours.result.auc,
-                        ours.result.gauc,
-                    )
+            cfgs.iter()
+                .map(|cfg| {
+                    ModelKind::all()
+                        .into_iter()
+                        .map(|kind| {
+                            let base = crate::harness::run_model(kind, None, &data, cfg, seed);
+                            let ours = crate::harness::run_model(
+                                kind,
+                                Some(&uae_weights),
+                                &data,
+                                cfg,
+                                seed,
+                            );
+                            (
+                                kind,
+                                base.result.auc,
+                                base.result.gauc,
+                                ours.result.auc,
+                                ours.result.gauc,
+                            )
+                        })
+                        .collect::<Vec<_>>()
                 })
                 .collect::<Vec<_>>()
         });
-        table.faults.extend(
-            fan.fault_report()
-                .into_iter()
-                .map(|f| format!("[{}] {f}", preset.name())),
-        );
+        let faults: Vec<String> = fan
+            .fault_report()
+            .into_iter()
+            .map(|f| format!("[{}] {f}", preset.name()))
+            .collect();
         let per_seed = fan.values();
-        for (mi, kind) in ModelKind::all().into_iter().enumerate() {
-            let mut entry = Table4Entry {
-                dataset: preset.name(),
-                model: kind,
-                base_auc: vec![],
-                uae_auc: vec![],
-                base_gauc: vec![],
-                uae_gauc: vec![],
-            };
-            for seed_result in &per_seed {
-                let (k, ba, bg, ua, ug) = seed_result[mi];
-                debug_assert_eq!(k, kind);
-                entry.base_auc.push(ba);
-                entry.base_gauc.push(bg);
-                entry.uae_auc.push(ua);
-                entry.uae_gauc.push(ug);
+        for (pi, table) in tables.iter_mut().enumerate() {
+            table.faults.extend(faults.iter().cloned());
+            for (mi, kind) in ModelKind::all().into_iter().enumerate() {
+                let mut entry = Table4Entry {
+                    dataset: preset.name(),
+                    model: kind,
+                    base_auc: vec![],
+                    uae_auc: vec![],
+                    base_gauc: vec![],
+                    uae_gauc: vec![],
+                };
+                for seed_result in &per_seed {
+                    let (k, ba, bg, ua, ug) = seed_result[pi][mi];
+                    debug_assert_eq!(k, kind);
+                    entry.base_auc.push(ba);
+                    entry.base_gauc.push(bg);
+                    entry.uae_auc.push(ua);
+                    entry.uae_gauc.push(ug);
+                }
+                table.entries.push(entry);
             }
-            table.entries.push(entry);
         }
     }
-    table
+    tables
 }
 
 impl Table4 {

@@ -5,7 +5,7 @@
 //! paper).
 
 use uae_metrics::{auc, brier_score, expected_calibration_error, mean, paired_t_test, rela_impr};
-use uae_models::ModelKind;
+use uae_models::{LabelMode, ModelKind};
 
 use crate::harness::{
     over_seeds_isolated, prepare, AttentionMethod, HarnessConfig, PreparedData, Preset,
@@ -62,21 +62,38 @@ fn quality_of(scores: &[f32], data: &PreparedData) -> (f64, f64, f64) {
     )
 }
 
-/// Runs the Table V grid. Seeds are parallel; within a seed each attention
-/// method is fitted once and shared by both base models.
-pub fn run_table5(cfg: &HarnessConfig) -> Table5 {
-    run_table5_with(cfg, &AttentionMethod::table5())
+/// Runs the Table V grid once per label protocol in `modes`, returning one
+/// table per protocol (`cfg.label_mode` is not read). Seeds are parallel;
+/// within a seed each attention method is fitted once and shared by both
+/// base models and every protocol (α̂ never reads the labels evaluation
+/// uses).
+pub fn run_table5(cfg: &HarnessConfig, modes: &[LabelMode]) -> Vec<Table5> {
+    run_table5_with(cfg, &AttentionMethod::table5(), modes)
 }
 
 /// As [`run_table5`] but over a custom method list (used by ablations).
-pub fn run_table5_with(cfg: &HarnessConfig, methods: &[AttentionMethod]) -> Table5 {
-    let mut table = Table5::default();
+pub fn run_table5_with(
+    cfg: &HarnessConfig,
+    methods: &[AttentionMethod],
+    modes: &[LabelMode],
+) -> Vec<Table5> {
+    let mut tables = vec![Table5::default(); modes.len()];
+    let mode_cfgs: Vec<HarnessConfig> = modes
+        .iter()
+        .map(|&label_mode| HarnessConfig {
+            label_mode,
+            ..cfg.clone()
+        })
+        .collect();
     let _table_span = uae_obs::span("table5");
     for preset in Preset::both() {
         let _preset_span = uae_obs::span(&format!("table5.{}", preset.name()));
         let data = prepare(preset, cfg);
-        // seed → (per (method, model) metrics, per method quality)
-        type SeedOut = (Vec<(usize, usize, f64, f64)>, Vec<(usize, f64, f64, f64)>);
+        // seed → (per (protocol, method, model) metrics, per method quality)
+        type SeedOut = (
+            Vec<(usize, usize, usize, f64, f64)>,
+            Vec<(usize, f64, f64, f64)>,
+        );
         let fan = over_seeds_isolated(&cfg.seeds, |seed| {
             let mut cells = Vec::new();
             let mut quality = Vec::new();
@@ -90,58 +107,69 @@ pub fn run_table5_with(cfg: &HarnessConfig, methods: &[AttentionMethod]) -> Tabl
                     quality.push((qi, a, b, e));
                     uae_core::downstream_weights(&train, cfg.gamma)
                 });
-                for (mi, kind) in table5_models().into_iter().enumerate() {
-                    let out = crate::harness::run_model(kind, weights.as_deref(), &data, cfg, seed);
-                    cells.push((qi, mi, out.result.auc, out.result.gauc));
+                for (pi, mode_cfg) in mode_cfgs.iter().enumerate() {
+                    for (mi, kind) in table5_models().into_iter().enumerate() {
+                        let out = crate::harness::run_model(
+                            kind,
+                            weights.as_deref(),
+                            &data,
+                            mode_cfg,
+                            seed,
+                        );
+                        cells.push((pi, qi, mi, out.result.auc, out.result.gauc));
+                    }
                 }
             }
             (cells, quality)
         });
-        table.faults.extend(
-            fan.fault_report()
-                .into_iter()
-                .map(|f| format!("[{}] {f}", preset.name())),
-        );
+        let faults: Vec<String> = fan
+            .fault_report()
+            .into_iter()
+            .map(|f| format!("[{}] {f}", preset.name()))
+            .collect();
         let per_seed: Vec<SeedOut> = fan.values();
-        for (qi, &method) in methods.iter().enumerate() {
-            for (mi, kind) in table5_models().into_iter().enumerate() {
-                let mut entry = Table5Entry {
-                    dataset: preset.name(),
-                    model: kind,
-                    method,
-                    auc: vec![],
-                    gauc: vec![],
-                };
-                for (cells, _) in &per_seed {
-                    let &(_, _, a, g) = cells
-                        .iter()
-                        .find(|&&(q, m, _, _)| q == qi && m == mi)
-                        .expect("cell");
-                    entry.auc.push(a);
-                    entry.gauc.push(g);
-                }
-                table.entries.push(entry);
-            }
-            if method != AttentionMethod::Base {
-                let mut q = AttentionQuality {
-                    dataset: preset.name(),
-                    method,
-                    attention_auc: vec![],
-                    brier: vec![],
-                    ece: vec![],
-                };
-                for (_, quality) in &per_seed {
-                    if let Some(&(_, a, b, e)) = quality.iter().find(|&&(i, ..)| i == qi) {
-                        q.attention_auc.push(a);
-                        q.brier.push(b);
-                        q.ece.push(e);
+        for (pi, table) in tables.iter_mut().enumerate() {
+            table.faults.extend(faults.iter().cloned());
+            for (qi, &method) in methods.iter().enumerate() {
+                for (mi, kind) in table5_models().into_iter().enumerate() {
+                    let mut entry = Table5Entry {
+                        dataset: preset.name(),
+                        model: kind,
+                        method,
+                        auc: vec![],
+                        gauc: vec![],
+                    };
+                    for (cells, _) in &per_seed {
+                        let &(.., a, g) = cells
+                            .iter()
+                            .find(|&&(p, q, m, ..)| (p, q, m) == (pi, qi, mi))
+                            .expect("cell");
+                        entry.auc.push(a);
+                        entry.gauc.push(g);
                     }
+                    table.entries.push(entry);
                 }
-                table.quality.push(q);
+                if method != AttentionMethod::Base {
+                    let mut q = AttentionQuality {
+                        dataset: preset.name(),
+                        method,
+                        attention_auc: vec![],
+                        brier: vec![],
+                        ece: vec![],
+                    };
+                    for (_, quality) in &per_seed {
+                        if let Some(&(_, a, b, e)) = quality.iter().find(|&&(i, ..)| i == qi) {
+                            q.attention_auc.push(a);
+                            q.brier.push(b);
+                            q.ece.push(e);
+                        }
+                    }
+                    table.quality.push(q);
+                }
             }
         }
     }
-    table
+    tables
 }
 
 impl Table5 {

@@ -6,12 +6,14 @@
 //! supplied by an attention model (UAE or a baseline). `w ≡ 1` recovers the
 //! industry-standard "Base" training.
 
+use std::ops::ControlFlow;
+
 use uae_data::FlatData;
 use uae_metrics::{auc, gauc};
 use uae_nn::{Adam, Optimizer};
 use uae_runtime::checkpoint::{ByteReader, ByteWriter, CheckpointError, TrainSnapshot};
 use uae_runtime::sentinel;
-use uae_runtime::supervisor::{FaultEvent, Recovery, Supervisor};
+use uae_runtime::supervisor::{FaultEvent, Supervisor, TrainState};
 use uae_runtime::UaeError;
 use uae_tensor::{save_params, sigmoid, Params, Rng, Tape};
 
@@ -179,115 +181,97 @@ fn subsampled_auc(
     auc(&scores, &sub_labels)
 }
 
-/// Trainer bookkeeping that must travel inside a checkpoint so a resumed (or
-/// rolled-back) run replays exactly: the loss history, early-stopping state,
-/// best-so-far parameters, and the current (possibly tightened) clip norm.
-struct Bookkeeping {
+/// One downstream training run's mutable state, and what its checkpoints
+/// hold: the parameters, Adam, the RNG, the current (possibly tightened)
+/// clip norm, and the history and early-stopping state a resumed (or
+/// rolled-back) run needs to replay exactly.
+struct TrainRun<'a> {
+    params: &'a mut Params,
+    opt: Adam,
+    rng: Rng,
+    clip: Option<f32>,
     history: Vec<EpochRecord>,
     best_val: f64,
-    best_epoch: u64,
-    bad_epochs: u64,
-    /// `save_params` blob of the best-validation parameters, if tracked.
-    best_params: Vec<u8>,
-    clip: Option<f32>,
+    best_epoch: usize,
+    bad_epochs: usize,
+    /// The best-validation parameters, tracked under early stopping.
+    best_params: Option<Params>,
 }
 
-impl Bookkeeping {
-    fn encode(&self) -> Vec<u8> {
+impl TrainState for TrainRun<'_> {
+    fn arenas(&self) -> Vec<&Params> {
+        vec![&*self.params]
+    }
+
+    fn capture(&self, epoch: u64, step: u64) -> TrainSnapshot {
         let mut w = ByteWriter::new();
         w.put_u32(self.history.len() as u32);
         for rec in &self.history {
             w.put_u64(rec.epoch as u64);
             w.put_f64(rec.train_loss);
-            put_opt_f64(&mut w, rec.train_auc);
-            put_opt_f64(&mut w, rec.val_auc);
+            w.put_opt(rec.train_auc, ByteWriter::put_f64);
+            w.put_opt(rec.val_auc, ByteWriter::put_f64);
         }
         w.put_f64(self.best_val);
-        w.put_u64(self.best_epoch);
-        w.put_u64(self.bad_epochs);
-        w.put_bytes(&self.best_params);
-        match self.clip {
-            Some(c) => {
-                w.put_bool(true);
-                w.put_f32(c);
-            }
-            None => w.put_bool(false),
-        }
-        w.into_bytes()
+        w.put_u64(self.best_epoch as u64);
+        w.put_u64(self.bad_epochs as u64);
+        let best = self.best_params.as_ref().map(save_params);
+        w.put_bytes(&best.unwrap_or_default());
+        w.put_opt(self.clip, ByteWriter::put_f32);
+        let arenas = self.arenas();
+        TrainSnapshot::capture(
+            epoch,
+            step,
+            &arenas,
+            &[&self.opt],
+            &self.rng,
+            w.into_bytes(),
+        )
     }
 
-    fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = ByteReader::new(bytes);
+    fn restore(&mut self, snap: &TrainSnapshot) -> Result<(), UaeError> {
+        snap.restore_arena(0, self.params)?;
+        let state = snap
+            .optimizers
+            .first()
+            .cloned()
+            .ok_or(CheckpointError::Corrupt("missing optimizer state"))?;
+        self.opt.restore(state);
+        self.rng.restore(snap.rng);
+        let mut r = ByteReader::new(&snap.extra);
         let n = r.get_u32()? as usize;
-        let mut history = Vec::with_capacity(n.min(4096));
+        self.history = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
-            history.push(EpochRecord {
+            self.history.push(EpochRecord {
                 epoch: r.get_u64()? as usize,
                 train_loss: r.get_f64()?,
-                train_auc: get_opt_f64(&mut r)?,
-                val_auc: get_opt_f64(&mut r)?,
+                train_auc: r.get_opt(ByteReader::get_f64)?,
+                val_auc: r.get_opt(ByteReader::get_f64)?,
             });
         }
-        let best_val = r.get_f64()?;
-        let best_epoch = r.get_u64()?;
-        let bad_epochs = r.get_u64()?;
-        let best_params = r.get_bytes()?;
-        let clip = if r.get_bool()? {
-            Some(r.get_f32()?)
-        } else {
+        self.best_val = r.get_f64()?;
+        self.best_epoch = r.get_u64()? as usize;
+        self.bad_epochs = r.get_u64()? as usize;
+        let best = r.get_bytes()?;
+        self.best_params = if best.is_empty() {
             None
+        } else {
+            let mut p = self.params.clone();
+            uae_tensor::load_params(&mut p, &best)?;
+            Some(p)
         };
-        Ok(Bookkeeping {
-            history,
-            best_val,
-            best_epoch,
-            bad_epochs,
-            best_params,
-            clip,
-        })
+        self.clip = r.get_opt(ByteReader::get_f32)?;
+        Ok(())
     }
-}
 
-fn put_opt_f64(w: &mut ByteWriter, x: Option<f64>) {
-    match x {
-        Some(v) => {
-            w.put_bool(true);
-            w.put_f64(v);
-        }
-        None => w.put_bool(false),
+    fn scale_learning_rates(&mut self, factor: f32) {
+        self.opt
+            .set_learning_rate(self.opt.learning_rate() * factor);
     }
-}
 
-fn get_opt_f64(r: &mut ByteReader) -> Result<Option<f64>, CheckpointError> {
-    Ok(if r.get_bool()? {
-        Some(r.get_f64()?)
-    } else {
-        None
-    })
-}
-
-/// Clip norm the runtime switches on when a run without clipping diverges.
-const EMERGENCY_CLIP: f32 = 5.0;
-/// Gradient clipping is never tightened below this.
-const MIN_CLIP: f32 = 1e-3;
-
-/// Restores parameters, optimizer, and RNG from a snapshot and decodes the
-/// trainer bookkeeping carried in its `extra` bytes.
-fn restore_snapshot(
-    snap: &TrainSnapshot,
-    params: &mut Params,
-    opt: &mut Adam,
-    rng: &mut Rng,
-) -> Result<Bookkeeping, UaeError> {
-    snap.restore_arena(0, params)?;
-    let state = snap
-        .optimizers
-        .first()
-        .cloned()
-        .ok_or(CheckpointError::Corrupt("missing optimizer state"))?;
-    opt.restore(state);
-    rng.restore(snap.rng);
-    Ok(Bookkeeping::decode(&snap.extra)?)
+    fn clip_mut(&mut self) -> &mut Option<f32> {
+        &mut self.clip
+    }
 }
 
 /// Trains a recommender with Eq. (18)'s weighted cross-entropy.
@@ -326,14 +310,16 @@ pub fn train(
 
 /// [`train`] under a fault-tolerant [`Supervisor`].
 ///
+/// The epochs run under [`Supervisor::run`], the one recovery protocol.
 /// With an enabled supervisor the run additionally:
 ///
-/// * checkpoints parameters + Adam moments + RNG + early-stopping state at
-///   the supervisor's cadence (resuming from such a snapshot via
-///   [`Supervisor::with_resume`] is bit-identical to never stopping),
 /// * checks loss finiteness after every forward pass (before backward) and
 ///   gradient-norm finiteness after every backward pass (before the
 ///   optimizer step), so parameters are never silently poisoned,
+/// * has the supervisor check the parameters and checkpoint them with Adam's
+///   moments, the RNG and the early-stopping state after every epoch that
+///   does not stop early (resuming from such a snapshot via
+///   [`Supervisor::with_resume`] is bit-identical to never stopping),
 /// * on anomaly rolls back to the last good checkpoint with the learning
 ///   rate halved and the clip norm tightened (compounding per retry), and
 /// * fails with [`UaeError::NumericalDivergence`] once the bounded retry
@@ -361,260 +347,119 @@ pub fn train_supervised(
     if let Some(name) = &cfg.weight_estimator {
         uae_obs::counter(&format!("estimator.{name}.downstream_runs"), 1);
     }
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x7472_6169);
-    let mut opt = Adam::new(cfg.learning_rate);
-    let mut current_clip = cfg.clip_norm;
-    let mut history: Vec<EpochRecord> = Vec::with_capacity(cfg.epochs);
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_epoch = 0usize;
-    let mut best_params: Option<Params> = None;
-    let mut bad_epochs = 0usize;
-    let mut start_epoch = 0usize;
-    let mut global_step = 0u64;
-
-    // Unpacks a restored bookkeeping record into the loop-local state.
-    // Returns the epoch to (re)start from.
-    let apply_bookkeeping = |bk: Bookkeeping,
-                             params: &Params,
-                             history: &mut Vec<EpochRecord>,
-                             best_val: &mut f64,
-                             best_epoch: &mut usize,
-                             bad_epochs: &mut usize,
-                             best_params: &mut Option<Params>,
-                             current_clip: &mut Option<f32>|
-     -> Result<(), UaeError> {
-        *history = bk.history;
-        *best_val = bk.best_val;
-        *best_epoch = bk.best_epoch as usize;
-        *bad_epochs = bk.bad_epochs as usize;
-        *best_params = if bk.best_params.is_empty() {
-            None
-        } else {
-            let mut p = params.clone();
-            uae_tensor::load_params(&mut p, &bk.best_params)?;
-            Some(p)
-        };
-        *current_clip = bk.clip;
-        Ok(())
+    let mut run = TrainRun {
+        params,
+        opt: Adam::new(cfg.learning_rate),
+        rng: Rng::seed_from_u64(cfg.seed ^ 0x7472_6169),
+        clip: cfg.clip_norm,
+        history: Vec::with_capacity(cfg.epochs),
+        best_val: f64::NEG_INFINITY,
+        best_epoch: 0,
+        bad_epochs: 0,
+        best_params: None,
     };
-
-    if let Some(snap) = sup.take_resume() {
-        let bk = restore_snapshot(&snap, params, &mut opt, &mut rng)?;
-        apply_bookkeeping(
-            bk,
-            params,
-            &mut history,
-            &mut best_val,
-            &mut best_epoch,
-            &mut bad_epochs,
-            &mut best_params,
-            &mut current_clip,
-        )?;
-        start_epoch = snap.epoch as usize;
-        global_step = snap.step;
-    }
-
+    let guard = sup.enabled();
     // Reused across every batch of the run; cleared per batch so matrix
     // buffers cycle through the scratch pool instead of the allocator.
     let mut tape = Tape::new();
-    'run: loop {
-        // Rollback mutates `start_epoch` and re-enters via `continue 'run`,
-        // which is exactly when the new bound takes effect.
-        #[allow(clippy::mut_range_bound)]
-        for epoch in start_epoch..cfg.epochs {
-            let mut loss_sum = 0.0f64;
-            let mut batches = 0usize;
-            let mut anomaly: Option<sentinel::Anomaly> = None;
-            'epoch: for idx in
-                uae_data::minibatch_indices(train_data.len(), cfg.batch_size, &mut rng)
-            {
-                let batch = train_data.gather(&idx);
-                let (pos, neg) =
-                    uae_core::event_pos_neg(sample_weights, &idx, &batch.active, &batch.label);
-                tape.clear();
-                let logits = model.forward(&mut tape, params, &batch);
-                let loss = tape.weighted_bce(logits, &pos, &neg, idx.len() as f32, false);
-                let loss_val = tape.value(loss).item() as f64;
-                // Sentinel 1: a non-finite loss aborts before backward.
-                if sup.enabled() {
-                    if let Err(a) = sentinel::check_loss(loss_val) {
-                        anomaly = Some(a);
-                        break 'epoch;
-                    }
-                }
-                loss_sum += loss_val;
-                batches += 1;
-                params.zero_grads();
-                tape.backward(loss, params);
-                let norm = match current_clip {
-                    Some(c) => params.clip_grad_norm(c),
-                    // Telemetry wants the norm too, but only reads it — the
-                    // update is identical whether or not it is measured.
-                    None if sup.enabled() || uae_obs::enabled() => params.grad_norm(),
-                    None => 0.0,
-                };
-                // Sentinel 2: a non-finite gradient aborts before the step.
-                if sup.enabled() {
-                    if let Err(a) = sentinel::check_grad_norm(norm) {
-                        anomaly = Some(a);
-                        break 'epoch;
-                    }
-                }
-                opt.step(params);
-                global_step += 1;
-                uae_obs::emit(|| uae_obs::Event::TrainStep {
-                    step: global_step,
-                    loss: loss_val,
-                    grad_norm: norm as f64,
-                    lr: opt.learning_rate() as f64,
-                });
+    sup.run(cfg.epochs, &mut run, |run, epoch, step| {
+        let mut loss_sum = 0.0f64;
+        let mut batches = 0usize;
+        for idx in uae_data::minibatch_indices(train_data.len(), cfg.batch_size, &mut run.rng) {
+            let batch = train_data.gather(&idx);
+            let (pos, neg) =
+                uae_core::event_pos_neg(sample_weights, &idx, &batch.active, &batch.label);
+            tape.clear();
+            let logits = model.forward(&mut tape, run.params, &batch);
+            let loss = tape.weighted_bce(logits, &pos, &neg, idx.len() as f32, false);
+            let loss_val = tape.value(loss).item() as f64;
+            // Sentinel 1: a non-finite loss aborts before backward.
+            if guard {
+                sentinel::check_loss(loss_val)?;
             }
-            if let Some(a) = anomaly {
-                match sup.on_anomaly(epoch, global_step as usize, &a) {
-                    Recovery::Rollback {
-                        snapshot,
-                        lr_scale,
-                        clip_scale,
-                    } => {
-                        let bk = restore_snapshot(&snapshot, params, &mut opt, &mut rng)?;
-                        let restored_clip = bk.clip;
-                        apply_bookkeeping(
-                            bk,
-                            params,
-                            &mut history,
-                            &mut best_val,
-                            &mut best_epoch,
-                            &mut bad_epochs,
-                            &mut best_params,
-                            &mut current_clip,
-                        )?;
-                        opt.set_learning_rate(opt.learning_rate() * lr_scale);
-                        current_clip = Some(
-                            (restored_clip.unwrap_or(EMERGENCY_CLIP) * clip_scale).max(MIN_CLIP),
-                        );
-                        start_epoch = snapshot.epoch as usize;
-                        global_step = snapshot.step;
-                        continue 'run;
-                    }
-                    Recovery::Abort(e) => return Err(e),
-                }
+            loss_sum += loss_val;
+            batches += 1;
+            run.params.zero_grads();
+            tape.backward(loss, run.params);
+            let norm = match run.clip {
+                Some(c) => run.params.clip_grad_norm(c),
+                // Telemetry wants the norm too, but only reads it — the
+                // update is identical whether or not it is measured.
+                None if guard || uae_obs::enabled() => run.params.grad_norm(),
+                None => 0.0,
+            };
+            // Sentinel 2: a non-finite gradient aborts before the step.
+            if guard {
+                sentinel::check_grad_norm(norm)?;
             }
-            let train_auc = subsampled_auc(
+            run.opt.step(run.params);
+            *step += 1;
+            uae_obs::emit(|| uae_obs::Event::TrainStep {
+                step: *step,
+                loss: loss_val,
+                grad_norm: norm as f64,
+                lr: run.opt.learning_rate() as f64,
+            });
+        }
+        let train_auc = subsampled_auc(
+            model,
+            run.params,
+            train_data,
+            LabelMode::Observed,
+            cfg.eval_subsample,
+            cfg.batch_size,
+            &mut run.rng,
+        );
+        let val_auc = val.and_then(|v| {
+            subsampled_auc(
                 model,
-                params,
-                train_data,
-                LabelMode::Observed,
+                run.params,
+                v,
+                val_mode,
                 cfg.eval_subsample,
                 cfg.batch_size,
-                &mut rng,
-            );
-            let val_auc = val.and_then(|v| {
-                subsampled_auc(
-                    model,
-                    params,
-                    v,
-                    val_mode,
-                    cfg.eval_subsample,
-                    cfg.batch_size,
-                    &mut rng,
-                )
-            });
-            history.push(EpochRecord {
-                epoch,
-                train_loss: loss_sum / batches.max(1) as f64,
-                train_auc,
-                val_auc,
-            });
-            uae_obs::emit(|| uae_obs::Event::Epoch {
-                epoch: epoch as u64,
-                train_loss: loss_sum / batches.max(1) as f64,
-                train_auc,
-                val_auc,
-            });
-            uae_tensor::emit_backend_telemetry();
-            let mut stop_early = false;
-            if let Some(v) = val_auc {
-                if v > best_val {
-                    best_val = v;
-                    best_epoch = epoch;
-                    bad_epochs = 0;
-                    if cfg.early_stop_patience.is_some() {
-                        best_params = Some(params.clone());
-                    }
-                } else {
-                    bad_epochs += 1;
-                    if let Some(patience) = cfg.early_stop_patience {
-                        if bad_epochs > patience {
-                            stop_early = true;
-                        }
-                    }
+                &mut run.rng,
+            )
+        });
+        let train_loss = loss_sum / batches.max(1) as f64;
+        run.history.push(EpochRecord {
+            epoch,
+            train_loss,
+            train_auc,
+            val_auc,
+        });
+        uae_obs::emit(|| uae_obs::Event::Epoch {
+            epoch: epoch as u64,
+            train_loss,
+            train_auc,
+            val_auc,
+        });
+        uae_tensor::emit_backend_telemetry();
+        if let Some(v) = val_auc {
+            if v > run.best_val {
+                run.best_val = v;
+                run.best_epoch = epoch;
+                run.bad_epochs = 0;
+                if cfg.early_stop_patience.is_some() {
+                    run.best_params = Some(run.params.clone());
                 }
-            }
-            if !stop_early && sup.should_checkpoint(epoch) {
-                // Sentinel 3: never accept a poisoned checkpoint.
-                if let Err(a) = sentinel::check_params(params) {
-                    match sup.on_anomaly(epoch, global_step as usize, &a) {
-                        Recovery::Rollback {
-                            snapshot,
-                            lr_scale,
-                            clip_scale,
-                        } => {
-                            let bk = restore_snapshot(&snapshot, params, &mut opt, &mut rng)?;
-                            let restored_clip = bk.clip;
-                            apply_bookkeeping(
-                                bk,
-                                params,
-                                &mut history,
-                                &mut best_val,
-                                &mut best_epoch,
-                                &mut bad_epochs,
-                                &mut best_params,
-                                &mut current_clip,
-                            )?;
-                            opt.set_learning_rate(opt.learning_rate() * lr_scale);
-                            current_clip = Some(
-                                (restored_clip.unwrap_or(EMERGENCY_CLIP) * clip_scale)
-                                    .max(MIN_CLIP),
-                            );
-                            start_epoch = snapshot.epoch as usize;
-                            global_step = snapshot.step;
-                            continue 'run;
-                        }
-                        Recovery::Abort(e) => return Err(e),
-                    }
+            } else {
+                run.bad_epochs += 1;
+                if cfg.early_stop_patience.is_some_and(|p| run.bad_epochs > p) {
+                    return Ok(ControlFlow::Break(()));
                 }
-                let bk = Bookkeeping {
-                    history: history.clone(),
-                    best_val,
-                    best_epoch: best_epoch as u64,
-                    bad_epochs: bad_epochs as u64,
-                    best_params: best_params.as_ref().map(save_params).unwrap_or_default(),
-                    clip: current_clip,
-                };
-                let snap = TrainSnapshot::capture(
-                    (epoch + 1) as u64,
-                    global_step,
-                    &[&*params],
-                    &[&opt],
-                    &rng,
-                    bk.encode(),
-                );
-                sup.record(snap)?;
-            }
-            if stop_early {
-                break;
             }
         }
-        break 'run;
-    }
-    if let Some(best) = best_params {
-        *params = best;
+        Ok(ControlFlow::Continue(()))
+    })?;
+    if let Some(best) = run.best_params {
+        *run.params = best;
     }
     Ok(TrainReport {
-        history,
-        best_epoch,
-        best_val_auc: if best_val.is_finite() {
-            Some(best_val)
+        history: run.history,
+        best_epoch: run.best_epoch,
+        best_val_auc: if run.best_val.is_finite() {
+            Some(run.best_val)
         } else {
             None
         },

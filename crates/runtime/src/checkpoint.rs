@@ -95,6 +95,14 @@ impl ByteWriter {
         self.put_u8(x as u8);
     }
 
+    /// A presence flag, then the value through `put` if there is one.
+    pub fn put_opt<T>(&mut self, x: Option<T>, put: impl FnOnce(&mut Self, T)) {
+        self.put_bool(x.is_some());
+        if let Some(v) = x {
+            put(self, v);
+        }
+    }
+
     /// Length-prefixed raw bytes.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
@@ -167,6 +175,14 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// Reads what [`ByteWriter::put_opt`] wrote, the value through `get`.
+    pub fn get_opt<T>(
+        &mut self,
+        get: impl FnOnce(&mut Self) -> Result<T, CheckpointError>,
+    ) -> Result<Option<T>, CheckpointError> {
+        self.get_bool()?.then(|| get(self)).transpose()
+    }
+
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, CheckpointError> {
         let len = self.get_u64()? as usize;
         Ok(self.take(len)?.to_vec())
@@ -223,13 +239,7 @@ fn encode_rng(w: &mut ByteWriter, state: &RngState) {
     for &word in &state.words {
         w.put_u64(word);
     }
-    match state.spare_normal {
-        Some(x) => {
-            w.put_bool(true);
-            w.put_f64(x);
-        }
-        None => w.put_bool(false),
-    }
+    w.put_opt(state.spare_normal, ByteWriter::put_f64);
 }
 
 fn decode_rng(r: &mut ByteReader) -> Result<RngState, CheckpointError> {
@@ -237,14 +247,9 @@ fn decode_rng(r: &mut ByteReader) -> Result<RngState, CheckpointError> {
     for word in &mut words {
         *word = r.get_u64()?;
     }
-    let spare_normal = if r.get_bool()? {
-        Some(r.get_f64()?)
-    } else {
-        None
-    };
     Ok(RngState {
         words,
-        spare_normal,
+        spare_normal: r.get_opt(ByteReader::get_f64)?,
     })
 }
 

@@ -12,14 +12,15 @@
 //!   bookkeeping; resuming from one is bit-identical to never stopping.
 //! * [`sentinel`] — per-step finiteness checks on loss, gradient norm, and
 //!   parameters, ordered so parameters are never silently poisoned.
-//! * [`supervisor::Supervisor`] — the rollback/retry state machine: on
-//!   anomaly, restore the last-good snapshot, halve the learning rate,
-//!   tighten gradient clipping, and retry within a bounded budget before
-//!   failing with a typed error.
+//! * [`supervisor::Supervisor`] — the one recovery protocol:
+//!   [`Supervisor::run`] drives a trainer's epochs, checkpoints after each,
+//!   and on anomaly restores the last-good snapshot, halves the learning
+//!   rate, tightens gradient clipping, and retries within a bounded budget
+//!   before failing with a typed error.
 //! * [`backoff::Backoff`] — deterministic exponential backoff shared by the
 //!   serving daemon's worker-restart and swap-drain loops.
 //!
-//! The trainers in `uae-models` and `uae-core` drive these hooks; the
+//! The trainers in `uae-models` and `uae-core` run under it; the
 //! evaluation harness in `uae-eval` layers panic-isolated seed fan-out on
 //! top (`over_seeds_isolated`), so one bad seed degrades a table to
 //! "n−1 seeds + fault report" instead of a crashed run.
@@ -34,4 +35,4 @@ pub use backoff::Backoff;
 pub use checkpoint::{ByteReader, ByteWriter, CheckpointError, TrainSnapshot};
 pub use error::UaeError;
 pub use sentinel::Anomaly;
-pub use supervisor::{FaultEvent, Recovery, Supervisor, SupervisorConfig};
+pub use supervisor::{FaultEvent, Supervisor, SupervisorConfig, TrainState};

@@ -148,12 +148,11 @@ pub fn stats(cfg: &HarnessConfig) {
 
 /// Table IV: the seven base models trained with and without UAE on both
 /// datasets (AUC, GAUC, RelaImpr, paired-t significance over seeds), under
-/// both label protocols.
+/// both label protocols from one UAE fit per dataset and seed.
 pub fn table4(cfg: &mut HarnessConfig) {
-    for mode in PROTOCOLS {
+    for (mode, table) in PROTOCOLS.into_iter().zip(run_table4(cfg, &PROTOCOLS)) {
         cfg.label_mode = mode;
         println!("=== Table IV: base models ± UAE ({}) ===", settings(cfg));
-        let table = run_table4(cfg);
         println!("{}", table.render());
         println!(
             "+UAE wins {:.0}% of (dataset, model, metric) cells\n",
@@ -164,14 +163,15 @@ pub fn table4(cfg: &mut HarnessConfig) {
 }
 
 /// Table V: AutoInt and DCN-V2 equipped with each attention model (EDM,
-/// NDB, PN, SAR, UAE) on both datasets, under both label protocols, plus
-/// every method's intrinsic attention-estimation quality.
+/// NDB, PN, SAR, UAE) on both datasets, under both label protocols from one
+/// fit per method, dataset and seed, plus every method's intrinsic
+/// attention-estimation quality.
 pub fn table5(cfg: &mut HarnessConfig) {
     let methods = AttentionMethod::table5();
-    for mode in PROTOCOLS {
+    for (mode, table) in PROTOCOLS.into_iter().zip(run_table5(cfg, &PROTOCOLS)) {
         cfg.label_mode = mode;
         println!("=== Table V: attention models ({}) ===", settings(cfg));
-        println!("{}", run_table5(cfg).render(&methods));
+        println!("{}", table.render(&methods));
     }
     println!("Paper shape: +UAE best, +PN catastrophically worst (AUC ≈ 0.55 on Product),");
     println!("EDM/NDB/SAR between Base and UAE.");

@@ -6,7 +6,7 @@ use std::cell::Cell;
 
 use uae::data::{generate, split_by_ratio, FlatBatch, FlatData, SimConfig};
 use uae::models::{train_supervised, LabelMode, ModelConfig, ModelKind, Recommender, TrainConfig};
-use uae::runtime::{Supervisor, SupervisorConfig, TrainSnapshot};
+use uae::runtime::{Supervisor, SupervisorConfig, TrainSnapshot, UaeError};
 use uae::tensor::{save_params, Matrix, Params, Rng, Tape, Var};
 
 fn setup() -> (uae::data::Dataset, FlatData, FlatData) {
@@ -29,13 +29,7 @@ fn train_cfg(epochs: usize) -> TrainConfig {
 }
 
 fn checkpointing_supervisor() -> Supervisor {
-    Supervisor::new(
-        SupervisorConfig {
-            checkpoint_every: 1,
-            ..Default::default()
-        },
-        "fault-tolerance-test",
-    )
+    Supervisor::new(SupervisorConfig::default(), "fault-tolerance-test")
 }
 
 /// Runs `epochs` epochs from a fresh model (optionally resuming from a
@@ -116,7 +110,6 @@ fn checkpoint_survives_a_process_boundary() {
             ModelKind::Fm.build(&ds.schema, &ModelConfig::default(), &mut rng);
         let mut sup = Supervisor::new(
             SupervisorConfig {
-                checkpoint_every: 1,
                 persist_dir: Some(dir.clone()),
                 ..Default::default()
             },
@@ -336,7 +329,6 @@ fn propensity_phase_anomaly_rolls_back_identically_at_one_and_two_threads() {
                 let mut model = Uae::new(&ds.schema, UaeConfig { epochs: 3, ..cfg });
                 let mut sup = Supervisor::new(
                     SupervisorConfig {
-                        checkpoint_every: 1,
                         lr_backoff: 1e-30,
                         ..Default::default()
                     },
@@ -370,4 +362,95 @@ fn propensity_phase_anomaly_rolls_back_identically_at_one_and_two_threads() {
     assert_eq!(fault.epoch, 1);
     assert_eq!(fault.step, snap.step as usize + attention_steps + 1);
     assert_eq!(one, run(2), "1 and 2 threads diverged");
+}
+
+/// Sentinel 3 through the downstream trainer: one batch per epoch, stepped
+/// at an infinite learning rate. That step's loss and gradient are finite;
+/// the parameters it leaves are not. Nothing is checkpointed yet, so the
+/// supervisor's end-of-epoch parameter check aborts the run.
+#[test]
+fn non_finite_parameters_abort_the_downstream_trainer() {
+    let (ds, train_data, _) = setup();
+    let cfg = TrainConfig {
+        batch_size: train_data.len(),
+        learning_rate: f32::INFINITY,
+        ..train_cfg(3)
+    };
+    let mut rng = Rng::seed_from_u64(5);
+    let (model, mut params) = ModelKind::Fm.build(&ds.schema, &ModelConfig::default(), &mut rng);
+    let mut sup = Supervisor::new(SupervisorConfig::default(), "sentinel-3-trainer");
+    let err = train_supervised(
+        model.as_ref(),
+        &mut params,
+        &train_data,
+        None,
+        None,
+        LabelMode::Observed,
+        &cfg,
+        &mut sup,
+    )
+    .expect_err("no checkpoint to roll back to");
+    assert_eq!(sup.faults().len(), 1, "faults: {:?}", sup.faults());
+    assert_eq!(sup.faults()[0].anomaly, "non-finite parameter values");
+    assert!(
+        matches!(
+            &err,
+            UaeError::NumericalDivergence { context, epoch: 0, step: 1, .. }
+                if context == "sentinel-3-trainer"
+        ),
+        "{err:?}"
+    );
+}
+
+/// Sentinel 3 through Algorithm 1: one batch, one propensity pass, so the
+/// epoch's last step is the propensity step, and Θ_h's Adam rate is
+/// infinite from the resumed checkpoint on. Each rollback restores that
+/// rate (halving ∞ leaves ∞), so the check trips again until the retry
+/// budget runs out and the fit fails with a typed error.
+#[test]
+fn non_finite_parameters_exhaust_the_uae_retry_budget() {
+    use uae::core::{Uae, UaeConfig};
+
+    let ds = generate(&SimConfig::tiny(), 3);
+    let sessions: Vec<usize> = (0..ds.sessions.len()).collect();
+    let cfg = UaeConfig {
+        embed_dim: 4,
+        gru_hidden: 8,
+        mlp_hidden: vec![8],
+        epochs: 1,
+        n_p: 1,
+        session_batch: sessions.len(),
+        max_len: 10,
+        seed: 11,
+        ..Default::default()
+    };
+    let mut warm = Uae::new(&ds.schema, cfg.clone());
+    let mut sup = checkpointing_supervisor();
+    warm.fit_supervised(&ds, &sessions, &mut sup)
+        .expect("clean epoch");
+    let mut snap = sup.last_good().expect("checkpoint recorded").clone();
+    assert_eq!((snap.epoch, snap.step), (1, 2), "one step per phase");
+    snap.optimizers[1].lr = f32::INFINITY;
+
+    let mut model = Uae::new(&ds.schema, UaeConfig { epochs: 2, ..cfg });
+    let mut sup = Supervisor::new(SupervisorConfig::default(), "sentinel-3-uae").with_resume(snap);
+    let err = model
+        .fit_supervised(&ds, &sessions, &mut sup)
+        .expect_err("every retry diverges");
+    let faults = sup.faults();
+    assert_eq!(faults.len(), 4, "three rollbacks, then abort: {faults:?}");
+    for fault in faults {
+        assert_eq!(fault.anomaly, "non-finite parameter values");
+        assert_eq!((fault.epoch, fault.step), (1, 4));
+    }
+    assert!(faults[2].action.starts_with("rollback to epoch 1"));
+    assert!(faults[3].action.contains("retry budget exhausted"));
+    assert!(
+        matches!(
+            &err,
+            UaeError::NumericalDivergence { context, epoch: 1, step: 4, retries_used: 3, .. }
+                if context == "sentinel-3-uae"
+        ),
+        "{err:?}"
+    );
 }

@@ -43,7 +43,7 @@ fn table5_reduced_grid_runs() {
         AttentionMethod::Pn,
         AttentionMethod::Uae,
     ];
-    let table = run_table5_with(&cfg, &methods);
+    let table = run_table5_with(&cfg, &methods, &[cfg.label_mode]).remove(0);
     // 2 datasets × 2 models × 3 methods.
     assert_eq!(table.entries.len(), 12);
     let rendered = table.render(&methods);
